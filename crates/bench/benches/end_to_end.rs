@@ -7,8 +7,8 @@ use cioq_core::{
 };
 use cioq_model::{SwitchConfig, Topology};
 use cioq_sim::{
-    run_cioq, run_cioq_linked, run_cioq_sharded, run_crossbar, run_crossbar_linked,
-    run_crossbar_sharded, DelayLine, DelayMatrix, ShardedOptions,
+    run_cioq, run_cioq_sharded, run_crossbar, run_crossbar_sharded, DelayLine, DelayMatrix, Engine,
+    RunOptions, ShardedOptions, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -101,24 +101,32 @@ fn bench_end_to_end(c: &mut Criterion) {
             let link = DelayLine { d: 4 };
             group.bench_function(format!("cioq_gm_delay4_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_cioq_linked(&cioq, &mut GreedyMatching::new(), &cioq_trace, &link).unwrap()
+                    Engine::new(cioq.clone(), RunOptions::default().link(&link))
+                        .run_cioq(
+                            &mut GreedyMatching::new(),
+                            &mut TraceSource::new(&cioq_trace),
+                        )
+                        .unwrap()
                 })
             });
             group.bench_function(format!("cioq_pg_delay4_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_cioq_linked(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &link)
+                    Engine::new(cioq.clone(), RunOptions::default().link(&link))
+                        .run_cioq(
+                            &mut PreemptiveGreedy::new(),
+                            &mut TraceSource::new(&cioq_trace),
+                        )
                         .unwrap()
                 })
             });
             group.bench_function(format!("xbar_cpg_delay4_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_crossbar_linked(
-                        &xbar,
-                        &mut CrossbarPreemptiveGreedy::new(),
-                        &xbar_trace,
-                        &link,
-                    )
-                    .unwrap()
+                    Engine::new(xbar.clone(), RunOptions::default().link(&link))
+                        .run_crossbar(
+                            &mut CrossbarPreemptiveGreedy::new(),
+                            &mut TraceSource::new(&xbar_trace),
+                        )
+                        .unwrap()
                 })
             });
             let sharded_delay = ShardedOptions::new(4).link(&link);
@@ -137,24 +145,32 @@ fn bench_end_to_end(c: &mut Criterion) {
             let topo = DelayMatrix::new(Topology::two_tier(n, n, 2, 0, 4).expect("two racks"));
             group.bench_function(format!("cioq_gm_twotier2_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_cioq_linked(&cioq, &mut GreedyMatching::new(), &cioq_trace, &topo).unwrap()
+                    Engine::new(cioq.clone(), RunOptions::default().link(&topo))
+                        .run_cioq(
+                            &mut GreedyMatching::new(),
+                            &mut TraceSource::new(&cioq_trace),
+                        )
+                        .unwrap()
                 })
             });
             group.bench_function(format!("cioq_pg_twotier2_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_cioq_linked(&cioq, &mut PreemptiveGreedy::new(), &cioq_trace, &topo)
+                    Engine::new(cioq.clone(), RunOptions::default().link(&topo))
+                        .run_cioq(
+                            &mut PreemptiveGreedy::new(),
+                            &mut TraceSource::new(&cioq_trace),
+                        )
                         .unwrap()
                 })
             });
             group.bench_function(format!("xbar_cpg_twotier2_{n}x{n}_s2"), |b| {
                 b.iter(|| {
-                    run_crossbar_linked(
-                        &xbar,
-                        &mut CrossbarPreemptiveGreedy::new(),
-                        &xbar_trace,
-                        &topo,
-                    )
-                    .unwrap()
+                    Engine::new(xbar.clone(), RunOptions::default().link(&topo))
+                        .run_crossbar(
+                            &mut CrossbarPreemptiveGreedy::new(),
+                            &mut TraceSource::new(&xbar_trace),
+                        )
+                        .unwrap()
                 })
             });
             let sharded_topo = ShardedOptions::new(4).link(&topo);

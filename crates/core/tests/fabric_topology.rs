@@ -26,8 +26,8 @@ use cioq_model::{PortId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
     CrossbarRecording, CrossbarShardPolicy, DelayLine, DelayMatrix, Engine, ExecMode, FabricLink,
-    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions,
-    SwitchState, Trace, TraceSource,
+    RecordedCrossbarSchedule, RecordedSchedule, Recording, RunOptions, RunOutcome, RunReport,
+    ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 use proptest::prelude::*;
@@ -125,8 +125,12 @@ fn seq_cioq(
     }
     let mut rec = Recording::with_link(Boxed(&mut *policy), link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(link))
-        .run_cioq_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = Engine::new(cfg.clone(), RunOptions::default().link(link))
+        .run_cioq_full(&mut rec, &mut source)
         .expect("sequential linked run");
     (report, rec.into_schedule(), state)
 }
@@ -175,8 +179,12 @@ fn seq_crossbar(
     }
     let mut rec = CrossbarRecording::with_link(Boxed(&mut *policy), link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(link))
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = Engine::new(cfg.clone(), RunOptions::default().link(link))
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential linked run");
     (report, rec.into_schedule(), state)
 }

@@ -21,8 +21,8 @@ use cioq_model::{PortId, SlotId, SwitchConfig};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
     CrossbarRecording, CrossbarShardPolicy, DelayLine, Engine, ExecMode, RecordedCrossbarSchedule,
-    RecordedSchedule, Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace,
-    TraceSource,
+    RecordedSchedule, Recording, RunOptions, RunOutcome, RunReport, ShardedOptions, SwitchState,
+    Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, ValueDist};
 
@@ -120,8 +120,12 @@ fn seq_cioq_delayed(
     let link = DelayLine { d };
     let mut rec = Recording::with_link(Boxed(&mut *policy), &link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(&link))
-        .run_cioq_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+        .run_cioq_full(&mut rec, &mut source)
         .expect("sequential delayed run");
     (report, rec.into_schedule(), state)
 }
@@ -171,8 +175,12 @@ fn seq_crossbar_delayed(
     let link = DelayLine { d };
     let mut rec = CrossbarRecording::with_link(Boxed(&mut *policy), &link);
     let mut source = TraceSource::new(trace);
-    let (report, state) = Engine::new(cfg.clone(), RunOptions::default().link(&link))
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential delayed run");
     (report, rec.into_schedule(), state)
 }
@@ -313,13 +321,9 @@ fn delay_zero_sequential_matches_plain_run() {
     let cfg = SwitchConfig::cioq(5, 3, 1);
     let trace = cioq_trace(&cfg, 40, 0xD2);
     let plain = cioq_sim::run_cioq(&cfg, &mut PreemptiveGreedy::new(), &trace).unwrap();
-    let linked = cioq_sim::run_cioq_linked(
-        &cfg,
-        &mut PreemptiveGreedy::new(),
-        &trace,
-        &DelayLine { d: 0 },
-    )
-    .unwrap();
+    let linked = Engine::new(cfg.clone(), RunOptions::default().link(&DelayLine { d: 0 }))
+        .run_cioq(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
+        .unwrap();
     assert_reports_equal(&linked, &plain, "sequential d=0 vs plain");
 }
 
@@ -435,8 +439,9 @@ fn conservation_under_churn_all_delays() {
     let trace = gen_trace(&gen, &cfg, 40, 0xC0);
     for d in [0u64, 1, 2, 4, 8] {
         let link = DelayLine { d };
-        let seq =
-            cioq_sim::run_cioq_linked(&cfg, &mut PreemptiveGreedy::new(), &trace, &link).unwrap();
+        let seq = Engine::new(cfg.clone(), RunOptions::default().link(&link))
+            .run_cioq(&mut PreemptiveGreedy::new(), &mut TraceSource::new(&trace))
+            .unwrap();
         seq.check_conservation()
             .unwrap_or_else(|e| panic!("sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");
@@ -460,9 +465,12 @@ fn conservation_under_churn_all_delays() {
     let xtrace = gen_trace(&gen, &xcfg, 40, 0xC1);
     for d in [0u64, 2, 8] {
         let link = DelayLine { d };
-        let seq =
-            cioq_sim::run_crossbar_linked(&xcfg, &mut CrossbarGreedyUnit::new(), &xtrace, &link)
-                .unwrap();
+        let seq = Engine::new(xcfg.clone(), RunOptions::default().link(&link))
+            .run_crossbar(
+                &mut CrossbarGreedyUnit::new(),
+                &mut TraceSource::new(&xtrace),
+            )
+            .unwrap();
         seq.check_conservation()
             .unwrap_or_else(|e| panic!("crossbar sequential d={d}: {e}"));
         assert_eq!(seq.residual_count, 0, "drained run leaves nothing, d={d}");

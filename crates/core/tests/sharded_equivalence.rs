@@ -20,7 +20,7 @@ use cioq_model::{PortId, SwitchConfig};
 use cioq_sim::{
     run_cioq_sharded, run_crossbar_sharded, CioqPolicy, CioqShardPolicy, CrossbarPolicy,
     CrossbarRecording, CrossbarShardPolicy, ExecMode, RecordedCrossbarSchedule, RecordedSchedule,
-    Recording, RunOptions, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
+    Recording, RunOptions, RunOutcome, RunReport, ShardedOptions, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::adversary::gm_iq_flood;
 use cioq_traffic::{gen_trace, FullFabricChurn, IncastStorm, OnOffBursty, TrafficGen, ValueDist};
@@ -125,8 +125,12 @@ fn seq_cioq(
     }
     let mut rec = Recording::new(BoxedCioq(policy));
     let mut source = TraceSource::new(trace);
-    let (report, state) = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
-        .run_cioq_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
+        .run_cioq_full(&mut rec, &mut source)
         .expect("sequential run");
     (report, rec.into_schedule(), state)
 }
@@ -174,8 +178,12 @@ fn seq_crossbar(
     }
     let mut rec = CrossbarRecording::new(BoxedXbar(policy));
     let mut source = TraceSource::new(trace);
-    let (report, state) = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
-        .run_crossbar_capturing(&mut rec, &mut source)
+    let RunOutcome {
+        report,
+        final_state: state,
+        ..
+    } = cioq_sim::Engine::new(cfg.clone(), RunOptions::default())
+        .run_crossbar_full(&mut rec, &mut source)
         .expect("sequential run");
     (report, rec.into_schedule(), state)
 }

@@ -10,7 +10,8 @@
 //! a killed streaming run restored from checkpoint bytes and re-fed from
 //! the checkpoint's stream cursor reproduces the uninterrupted run, the
 //! replay-file reader feeds a byte-identical stream, and the service API
-//! (`serve_cioq`) wraps the whole seam without changing the transcript.
+//! (`serve_cioq` / `serve_crossbar`) wraps the whole seam without changing
+//! the transcript, fresh or resumed from a restored engine.
 
 use cioq_core::{
     CrossbarGreedyUnit, CrossbarPreemptiveGreedy, GreedyMatching, PreemptiveGreedy, ShardedCgu,
@@ -19,10 +20,10 @@ use cioq_core::{
 use cioq_model::{PortId, SlotId, SwitchConfig, Topology};
 use cioq_sim::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
-    run_crossbar_sharded_streamed, serve_cioq, stream_trace, stream_trace_from, CioqPolicy,
-    CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, DelayLine,
+    run_crossbar_sharded_streamed, serve_cioq, serve_crossbar, stream_trace, stream_trace_from,
+    CioqPolicy, CioqShardPolicy, CrossbarPolicy, CrossbarRecording, CrossbarShardPolicy, DelayLine,
     DelayMatrix, Engine, EngineSnapshot, ExecMode, FabricLink, Immediate, Recording, RunOptions,
-    RunOutcome, ShardedOptions, SwitchState, Trace, TraceSource,
+    RunOutcome, ShardedOptions, StreamCursor, StreamSender, SwitchState, Trace, TraceSource,
 };
 use cioq_traffic::{gen_trace, OnOffBursty, ValueDist};
 
@@ -496,11 +497,10 @@ fn service_api_matches_trace_fed_run() {
 
     let packets = trace.packets().to_vec();
     let served = serve_cioq(
-        cfg.clone(),
-        RunOptions::default(),
+        Engine::try_new(cfg.clone(), RunOptions::default()).expect("valid options"),
         &mut GreedyMatching::new(),
         4,
-        move |tx| {
+        move |tx, _| {
             let mut i = 0;
             while i < packets.len() {
                 let slot = packets[i].arrival;
@@ -522,4 +522,93 @@ fn service_api_matches_trace_fed_run() {
         &full.final_state,
         "service final state",
     );
+}
+
+/// A service producer that replays `trace` from the cursor the service
+/// hands it.
+fn replay(trace: &Trace) -> impl FnOnce(StreamSender, StreamCursor) + Send + 'static {
+    let packets = trace.packets().to_vec();
+    move |tx, cursor| {
+        let mut i = packets.partition_point(|p| p.arrival < cursor.slot);
+        assert_eq!(i as u64, cursor.consumed, "cursor matches the trace");
+        while i < packets.len() {
+            let slot = packets[i].arrival;
+            let mut batch = Vec::new();
+            while i < packets.len() && packets[i].arrival == slot {
+                batch.push(packets[i]);
+                i += 1;
+            }
+            if tx.send(slot, batch).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// Serving an engine restored from a mid-stream checkpoint re-attaches the
+/// stream at the checkpoint's cursor: the report and every later
+/// checkpoint equal the uninterrupted serve's, for a CIOQ and a crossbar
+/// policy.
+#[test]
+fn service_resumes_from_restored_engine() {
+    let link = DelayLine { d: 2 };
+    let engine = |cfg: &SwitchConfig| {
+        Engine::try_new(cfg.clone(), run_options(&link)).expect("valid options")
+    };
+    let restored = |full: &RunOutcome| {
+        let mid = &full.checkpoints[full.checkpoints.len() / 2];
+        let snap = EngineSnapshot::from_bytes(&mid.to_bytes()).expect("round-trip");
+        let tail: Vec<EngineSnapshot> = full
+            .checkpoints
+            .iter()
+            .filter(|c| c.slot() >= snap.slot())
+            .cloned()
+            .collect();
+        let engine = Engine::restore(&snap, run_options(&link)).expect("restore own checkpoint");
+        (engine, tail)
+    };
+
+    let cfg = cioq_cfg();
+    let trace = bursty_trace(&cfg, 48, 0xD6);
+    let full = serve_cioq(
+        engine(&cfg),
+        &mut PreemptiveGreedy::new(),
+        4,
+        replay(&trace),
+    )
+    .expect("uninterrupted service run")
+    .outcome;
+    let (resumed_engine, tail) = restored(&full);
+    let resumed = serve_cioq(
+        resumed_engine,
+        &mut PreemptiveGreedy::new(),
+        4,
+        replay(&trace),
+    )
+    .expect("resumed service run")
+    .outcome;
+    assert_eq!(resumed.report, full.report, "pg resumed service report");
+    assert_checkpoints_identical(&resumed.checkpoints, &tail, "pg resumed service");
+
+    let cfg = SwitchConfig::crossbar(6, 3, 1, 2);
+    let trace = bursty_trace(&cfg, 48, 0xD7);
+    let full = serve_crossbar(
+        engine(&cfg),
+        &mut CrossbarPreemptiveGreedy::new(),
+        4,
+        replay(&trace),
+    )
+    .expect("uninterrupted service run")
+    .outcome;
+    let (resumed_engine, tail) = restored(&full);
+    let resumed = serve_crossbar(
+        resumed_engine,
+        &mut CrossbarPreemptiveGreedy::new(),
+        4,
+        replay(&trace),
+    )
+    .expect("resumed service run")
+    .outcome;
+    assert_eq!(resumed.report, full.report, "cpg resumed service report");
+    assert_checkpoints_identical(&resumed.checkpoints, &tail, "cpg resumed service");
 }

@@ -146,11 +146,10 @@ fn main() {
     let cfg_c = cfg.clone();
     let sg_c = gen.slots(seed);
     let served = serve_cioq(
-        cfg.clone(),
-        options(every),
+        Engine::try_new(cfg.clone(), options(every)).expect("valid options"),
         &mut GreedyMatching::new(),
         64,
-        move |tx| pump_slots(tx, cfg_c, sg_c, slots),
+        move |tx, _| pump_slots(tx, cfg_c, sg_c, slots),
     )
     .expect("service run");
     let verdict_c = if served.outcome.report != full.report {

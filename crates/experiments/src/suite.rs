@@ -1076,8 +1076,8 @@ pub fn s1_sharded(quick: bool) -> Vec<Table> {
 pub fn s2_delay(quick: bool) -> Vec<Table> {
     use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
     use cioq_sim::{
-        run_cioq_linked, run_cioq_sharded, run_crossbar_linked, run_crossbar_sharded, DelayLine,
-        Engine, RunOptions, ShardedOptions, TraceSource,
+        run_cioq_sharded, run_crossbar_sharded, DelayLine, Engine, RunOptions, ShardedOptions,
+        TraceSource,
     };
 
     let t = slots(384, quick);
@@ -1122,49 +1122,45 @@ pub fn s2_delay(quick: bool) -> Vec<Table> {
                 "GM",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::GreedyMatching::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(cioq_cfg.clone(), RunOptions::default().link(&link))
+                    .run_cioq(
+                        &mut cioq_core::GreedyMatching::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Pg => (
                 "PG",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::PreemptiveGreedy::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(cioq_cfg.clone(), RunOptions::default().link(&link))
+                    .run_cioq(
+                        &mut cioq_core::PreemptiveGreedy::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Cgu => (
                 "CGU",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarGreedyUnit::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(xbar_cfg.clone(), RunOptions::default().link(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarGreedyUnit::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("delayed run"),
             ),
             P::Cpg => (
                 "CPG",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("delayed run"),
+                Engine::new(xbar_cfg.clone(), RunOptions::default().link(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("delayed run"),
             ),
         };
         // Tripwire over k ∈ {2, 4}: k = 2 splits the switch in halves, k = 4
@@ -1307,8 +1303,8 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
     use cioq_core::{ShardedCgu, ShardedCpg, ShardedGm, ShardedPg};
     use cioq_model::Topology;
     use cioq_sim::{
-        run_cioq_linked, run_cioq_sharded, run_crossbar_linked, run_crossbar_sharded, DelayMatrix,
-        Engine, RunOptions, ShardedOptions, TraceSource,
+        run_cioq_sharded, run_crossbar_sharded, DelayMatrix, Engine, RunOptions, ShardedOptions,
+        TraceSource,
     };
 
     let t = slots(384, quick);
@@ -1356,49 +1352,45 @@ pub fn s3_topology(quick: bool) -> Vec<Table> {
                 "GM",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::GreedyMatching::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(cioq_cfg.clone(), RunOptions::default().link(&link))
+                    .run_cioq(
+                        &mut cioq_core::GreedyMatching::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Pg => (
                 "PG",
                 cioq_opt,
                 cioq_trace.len(),
-                run_cioq_linked(
-                    &cioq_cfg,
-                    &mut cioq_core::PreemptiveGreedy::new(),
-                    &cioq_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(cioq_cfg.clone(), RunOptions::default().link(&link))
+                    .run_cioq(
+                        &mut cioq_core::PreemptiveGreedy::new(),
+                        &mut TraceSource::new(&cioq_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Cgu => (
                 "CGU",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarGreedyUnit::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(xbar_cfg.clone(), RunOptions::default().link(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarGreedyUnit::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("topology run"),
             ),
             P::Cpg => (
                 "CPG",
                 xbar_opt,
                 xbar_trace.len(),
-                run_crossbar_linked(
-                    &xbar_cfg,
-                    &mut cioq_core::CrossbarPreemptiveGreedy::new(),
-                    &xbar_trace,
-                    &link,
-                )
-                .expect("topology run"),
+                Engine::new(xbar_cfg.clone(), RunOptions::default().link(&link))
+                    .run_crossbar(
+                        &mut cioq_core::CrossbarPreemptiveGreedy::new(),
+                        &mut TraceSource::new(&xbar_trace),
+                    )
+                    .expect("topology run"),
             ),
         };
         let mut opts = ShardedOptions::new(2).link(&link);

@@ -67,6 +67,11 @@ impl Topology {
         if racks == 0 {
             return Err(ConfigError::ZeroRacks);
         }
+        // Checked here as well as in `explicit`: the latency matrix below
+        // is racks² entries, so the bound must hold before it is built.
+        if racks > u16::MAX as usize {
+            return Err(ConfigError::TooManyRacks { got: racks });
+        }
         let bands = |n: usize| {
             let mut rack = vec![0u16; n];
             for s in 0..racks {

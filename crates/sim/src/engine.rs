@@ -8,8 +8,9 @@ use crate::policy::{
 };
 use crate::snapshot::{EngineSnapshot, SnapLanding, SnapshotError};
 use crate::source::{ArrivalSource, TraceSource};
-use crate::state::SwitchState;
+use crate::state::{QueueKind, SwitchState, SwitchView};
 use crate::stats::{RunReport, StatsRecorder, WindowedStats};
+use crate::stream::StreamCursor;
 use crate::trace::Trace;
 use crate::transport::{DelayCalendar, FabricLink, FabricSpec, InFlightPacket, Landing};
 use crate::validate::check_state_invariants;
@@ -491,53 +492,72 @@ impl Engine {
 
     /// Run a CIOQ policy against an arrival source.
     pub fn run_cioq<P: CioqPolicy + ?Sized>(
-        mut self,
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
     ) -> Result<RunReport, PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        Ok(self.finish(policy.name().to_string(), slots))
-    }
-
-    /// Like [`Engine::run_cioq`], additionally returning the final switch
-    /// state (equivalence tests compare it queue for queue against the
-    /// sharded engine's).
-    pub fn run_cioq_capturing<P: CioqPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<(RunReport, SwitchState), PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        let state = self.state.clone();
-        Ok((self.finish(policy.name().to_string(), slots), state))
+        self.run(Cioq(policy), source, Self::finish)
     }
 
     /// Like [`Engine::run_cioq`], returning the report, final state and
     /// every checkpoint the `checkpoint_every` option collected.
     pub fn run_cioq_full<P: CioqPolicy + ?Sized>(
-        mut self,
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
     ) -> Result<RunOutcome, PolicyError> {
-        let slots = self.run_cioq_loop(policy, source)?;
-        let final_state = self.state.clone();
-        let checkpoints = std::mem::take(&mut self.checkpoints);
-        Ok(RunOutcome {
-            report: self.finish(policy.name().to_string(), slots),
-            final_state,
-            checkpoints,
-        })
+        self.run(Cioq(policy), source, Self::outcome)
     }
 
-    fn run_cioq_loop<P: CioqPolicy + ?Sized>(
-        &mut self,
+    /// Run a buffered-crossbar policy against an arrival source.
+    pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
+        self,
         policy: &mut P,
         source: &mut dyn ArrivalSource,
+    ) -> Result<RunReport, PolicyError> {
+        self.run(Crossbar(policy), source, Self::finish)
+    }
+
+    /// Like [`Engine::run_crossbar`], returning the report, final state
+    /// and every checkpoint the `checkpoint_every` option collected.
+    pub fn run_crossbar_full<P: CrossbarPolicy + ?Sized>(
+        self,
+        policy: &mut P,
+        source: &mut dyn ArrivalSource,
+    ) -> Result<RunOutcome, PolicyError> {
+        self.run(Crossbar(policy), source, Self::outcome)
+    }
+
+    /// Where a stream feeding this engine must start: the slot the run
+    /// starts at and the packets that arrived before it.
+    pub(crate) fn stream_cursor(&self) -> StreamCursor {
+        StreamCursor {
+            slot: self.start_slot,
+            consumed: self.stats.arrived,
+        }
+    }
+
+    fn run<A: Arch, T>(
+        mut self,
+        mut arch: A,
+        source: &mut dyn ArrivalSource,
+        end: fn(Self, String, SlotId) -> T,
+    ) -> Result<T, PolicyError> {
+        let slots = self.run_loop(&mut arch, source)?;
+        Ok(end(self, arch.name().to_string(), slots))
+    }
+
+    /// The slot of §1.3, for either architecture: fault release, landing,
+    /// arrivals, ŝ scheduling cycles (the only per-architecture step) and
+    /// transmission, until the arrival window closes and the switch has
+    /// drained.
+    // detlint: hot
+    fn run_loop<A: Arch>(
+        &mut self,
+        arch: &mut A,
+        source: &mut dyn ArrivalSource,
     ) -> Result<SlotId, PolicyError> {
-        assert!(
-            self.state.config().crossbar_capacity.is_none(),
-            "run_cioq requires a CIOQ config (no crossbar capacity)"
-        );
+        A::assert_config(self.state.config());
         // A fixed horizon (explicit slot budget or a source that knows its
         // length) closes the arrival window by slot count; an open-ended
         // source (streaming) is asked each slot and may block until it
@@ -575,152 +595,19 @@ impl Engine {
 
             // --- Arrival phase ---
             if in_arrival_window {
-                self.arrival_phase(policy_admit_cioq(policy), source, slot)?;
+                self.arrival_phase(arch, source, slot)?;
             }
 
             // --- Scheduling phase: ŝ cycles ---
             for s in 0..speedup {
-                let cycle = Cycle { slot, index: s };
-                self.transfers.clear();
-                let mut transfers = std::mem::take(&mut self.transfers);
-                policy.schedule(&self.state.view(), cycle, &mut transfers);
-                // The policy consumed the change log; everything from here
-                // on accumulates for its next scheduling call.
-                self.state.changes.flush();
-                self.apply_cioq_transfers(&transfers, cycle)?;
-                self.transfers = transfers;
+                arch.cycle(self, Cycle { slot, index: s })?;
                 self.post_phase_check();
             }
 
             // --- Transmission phase ---
             for j in 0..self.state.config().n_outputs {
                 let output = PortId::from(j);
-                let choice = policy.transmit(&self.state.view(), output);
-                self.apply_transmit(output, choice)?;
-            }
-            self.post_phase_check();
-
-            self.audit_slot();
-            if let Some(w) = &mut self.window {
-                w.roll(slot, &self.stats);
-            }
-            let progressed = self.stats.transmitted != transmitted_before
-                || self.stats.transferred + self.stats.transferred_to_crossbar != moved_before;
-            idle_slots = if progressed { 0 } else { idle_slots + 1 };
-            slot += 1;
-        }
-
-        Ok(slot)
-    }
-
-    /// Run a buffered-crossbar policy against an arrival source.
-    pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<RunReport, PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        Ok(self.finish(policy.name().to_string(), slots))
-    }
-
-    /// Like [`Engine::run_crossbar`], additionally returning the final
-    /// switch state.
-    pub fn run_crossbar_capturing<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<(RunReport, SwitchState), PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        let state = self.state.clone();
-        Ok((self.finish(policy.name().to_string(), slots), state))
-    }
-
-    /// Like [`Engine::run_crossbar`], returning the report, final state
-    /// and every checkpoint the `checkpoint_every` option collected.
-    pub fn run_crossbar_full<P: CrossbarPolicy + ?Sized>(
-        mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<RunOutcome, PolicyError> {
-        let slots = self.run_crossbar_loop(policy, source)?;
-        let final_state = self.state.clone();
-        let checkpoints = std::mem::take(&mut self.checkpoints);
-        Ok(RunOutcome {
-            report: self.finish(policy.name().to_string(), slots),
-            final_state,
-            checkpoints,
-        })
-    }
-
-    fn run_crossbar_loop<P: CrossbarPolicy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        source: &mut dyn ArrivalSource,
-    ) -> Result<SlotId, PolicyError> {
-        assert!(
-            self.state.config().crossbar_capacity.is_some(),
-            "run_crossbar requires a crossbar config"
-        );
-        // See run_cioq_loop: fixed horizon closes the window by count, an
-        // open-ended source is asked (and may block) each slot.
-        let fixed_slots = self.options.slots.or_else(|| source.horizon());
-        let speedup = self.state.config().speedup;
-
-        let mut slot: SlotId = self.start_slot;
-        let mut idle_slots = self.start_idle;
-        loop {
-            let in_arrival_window = match fixed_slots {
-                Some(n) => slot < n,
-                None => source.in_arrival_window(slot),
-            };
-            if !in_arrival_window {
-                let done = !self.options.drain
-                    || self.state.residual_count() == 0
-                    || (idle_slots >= 2 && self.state.inflight.is_empty());
-                if done {
-                    break;
-                }
-            }
-            self.state.slot = slot;
-            self.checkpoint_if_due(slot, idle_slots);
-            let transmitted_before = self.stats.transmitted;
-            let moved_before = self.stats.transferred + self.stats.transferred_to_crossbar;
-
-            // --- Fault release (link-down windows that closed) ---
-            self.release_retransmits(slot);
-
-            // --- Landing phase (delayed fabric only) ---
-            self.land_due(slot)?;
-
-            // --- Arrival phase ---
-            if in_arrival_window {
-                self.arrival_phase(policy_admit_crossbar(policy), source, slot)?;
-            }
-
-            // --- Scheduling phase: ŝ cycles of (input, output) subphases ---
-            for s in 0..speedup {
-                let cycle = Cycle { slot, index: s };
-
-                self.in_transfers.clear();
-                let mut input_transfers = std::mem::take(&mut self.in_transfers);
-                policy.schedule_input(&self.state.view(), cycle, &mut input_transfers);
-                self.state.changes.flush();
-                self.apply_input_subphase(&input_transfers)?;
-                self.in_transfers = input_transfers;
-
-                self.out_transfers.clear();
-                let mut output_transfers = std::mem::take(&mut self.out_transfers);
-                policy.schedule_output(&self.state.view(), cycle, &mut output_transfers);
-                self.state.changes.flush();
-                self.apply_output_subphase(&output_transfers, cycle)?;
-                self.out_transfers = output_transfers;
-                self.post_phase_check();
-            }
-
-            // --- Transmission phase ---
-            for j in 0..self.state.config().n_outputs {
-                let output = PortId::from(j);
-                let choice = policy.transmit(&self.state.view(), output);
+                let choice = arch.transmit(&self.state.view(), output);
                 self.apply_transmit(output, choice)?;
             }
             self.post_phase_check();
@@ -803,9 +690,9 @@ impl Engine {
     }
 
     // detlint: hot
-    fn arrival_phase(
+    fn arrival_phase<A: Arch>(
         &mut self,
-        mut admit: impl FnMut(&SwitchState, &Packet) -> Admission,
+        arch: &mut A,
         source: &mut dyn ArrivalSource,
         slot: SlotId,
     ) -> Result<(), PolicyError> {
@@ -815,7 +702,7 @@ impl Engine {
         for p in &arrivals {
             self.check_ports(p.input, p.output)?;
             self.stats.on_arrival(p);
-            let decision = admit(&self.state, p);
+            let decision = arch.admit(&self.state.view(), p);
             if !matches!(decision, Admission::Reject) {
                 self.state.note_voq(p.input, p.output);
             }
@@ -993,14 +880,7 @@ impl Engine {
         for t in transfers {
             self.state.note_voq(t.input, t.output);
             let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = take_pick(queue, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "input",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
+            let packet = take_pick(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
             self.through_fabric(t.input, t.output, t.preempt_if_full, cycle, packet)?;
         }
         Ok(())
@@ -1018,14 +898,7 @@ impl Engine {
             self.state.note_voq(t.input, t.output);
             self.state.note_xbar(t.input, t.output);
             let queue = self.state.input_queues.at_mut(t.input, t.output);
-            let packet = take_pick(queue, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "input",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
+            let packet = take_pick(queue, t.pick, QueueKind::Input, Some(t.input), t.output)?;
             let xbar = self
                 .state
                 .crossbar_queues
@@ -1076,14 +949,7 @@ impl Engine {
                 .as_mut()
                 .expect("invariant: crossbar queues exist, asserted at run entry")
                 .at_mut(t.input, t.output);
-            let packet = take_pick(xbar, t.pick).ok_or(match t.pick {
-                PacketPick::ById(id) if !xbar.is_empty() => PolicyError::NoSuchPacket { id },
-                _ => PolicyError::EmptyQueue {
-                    kind: "crossbar",
-                    input: Some(t.input),
-                    output: t.output,
-                },
-            })?;
+            let packet = take_pick(xbar, t.pick, QueueKind::Crossbar, Some(t.input), t.output)?;
             self.through_fabric(t.input, t.output, t.preempt_if_full, cycle, packet)?;
         }
         Ok(())
@@ -1101,10 +967,7 @@ impl Engine {
                 let slot = self.state.slot;
                 self.state.note_output(output);
                 let queue = &mut self.state.output_queues[output.index()];
-                let packet = take_pick(queue, pick).ok_or(match pick {
-                    PacketPick::ById(id) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
-                    _ => PolicyError::TransmitFromEmpty { output },
-                })?;
+                let packet = take_pick(queue, pick, QueueKind::Output, None, output)?;
                 self.stats.on_transmit(&packet, slot, output.index());
                 Ok(())
             }
@@ -1190,28 +1053,141 @@ impl Engine {
         debug_assert_eq!(report.check_conservation(), Ok(()));
         report
     }
-}
 
-pub(crate) fn take_pick(queue: &mut SortedQueue, pick: PacketPick) -> Option<Packet> {
-    match pick {
-        PacketPick::Greatest => queue.pop_head(),
-        PacketPick::Least => queue.pop_tail(),
-        PacketPick::ById(id) => queue.remove(id),
+    fn outcome(mut self, policy: String, slots: SlotId) -> RunOutcome {
+        let final_state = self.state.clone();
+        let checkpoints = std::mem::take(&mut self.checkpoints);
+        RunOutcome {
+            report: self.finish(policy, slots),
+            final_state,
+            checkpoints,
+        }
     }
 }
 
-// Small adapters so `arrival_phase` is shared between both policy families
-// without trait-object gymnastics.
-fn policy_admit_cioq<P: CioqPolicy + ?Sized>(
-    policy: &mut P,
-) -> impl FnMut(&SwitchState, &Packet) -> Admission + '_ {
-    move |state, p| policy.admit(&state.view(), p)
+/// Pop the packet `pick` names from a `kind` queue on pair
+/// `(input, output)`, or the error a policy earns for naming a packet the
+/// queue does not hold.
+// detlint: hot
+pub(crate) fn take_pick(
+    queue: &mut SortedQueue,
+    pick: PacketPick,
+    kind: QueueKind,
+    input: Option<PortId>,
+    output: PortId,
+) -> Result<Packet, PolicyError> {
+    let packet = match pick {
+        PacketPick::Greatest => queue.pop_head(),
+        PacketPick::Least => queue.pop_tail(),
+        PacketPick::ById(id) => queue.remove(id),
+    };
+    packet.ok_or_else(|| match (pick, kind) {
+        (PacketPick::ById(id), _) if !queue.is_empty() => PolicyError::NoSuchPacket { id },
+        (_, QueueKind::Output) => PolicyError::TransmitFromEmpty { output },
+        (_, QueueKind::Input) => PolicyError::EmptyQueue {
+            kind: "input",
+            input,
+            output,
+        },
+        (_, QueueKind::Crossbar) => PolicyError::EmptyQueue {
+            kind: "crossbar",
+            input,
+            output,
+        },
+    })
 }
 
-fn policy_admit_crossbar<P: CrossbarPolicy + ?Sized>(
-    policy: &mut P,
-) -> impl FnMut(&SwitchState, &Packet) -> Admission + '_ {
-    move |state, p| policy.admit(&state.view(), p)
+/// The part of a slot the two architectures do differently (§1.3), and
+/// the policy calls the shared slot loop makes. CIOQ moves one matching
+/// per scheduling cycle; a buffered crossbar runs an input subphase and
+/// then an output subphase.
+trait Arch {
+    /// Panic unless `cfg` has this architecture's queues.
+    fn assert_config(cfg: &SwitchConfig);
+    fn name(&self) -> &str;
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission;
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice;
+    /// Ask the policy for one scheduling cycle's decisions and apply them.
+    fn cycle(&mut self, engine: &mut Engine, cycle: Cycle) -> Result<(), PolicyError>;
+}
+
+struct Cioq<'p, P: ?Sized>(&'p mut P);
+
+struct Crossbar<'p, P: ?Sized>(&'p mut P);
+
+impl<P: CioqPolicy + ?Sized> Arch for Cioq<'_, P> {
+    fn assert_config(cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_none(),
+            "run_cioq requires a CIOQ config (no crossbar capacity)"
+        );
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        self.0.admit(view, packet)
+    }
+
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        self.0.transmit(view, output)
+    }
+
+    // detlint: hot
+    fn cycle(&mut self, e: &mut Engine, cycle: Cycle) -> Result<(), PolicyError> {
+        e.transfers.clear();
+        let mut transfers = std::mem::take(&mut e.transfers);
+        self.0.schedule(&e.state.view(), cycle, &mut transfers);
+        // The policy consumed the change log; everything from here on
+        // accumulates for its next scheduling call.
+        e.state.changes.flush();
+        e.apply_cioq_transfers(&transfers, cycle)?;
+        e.transfers = transfers;
+        Ok(())
+    }
+}
+
+impl<P: CrossbarPolicy + ?Sized> Arch for Crossbar<'_, P> {
+    fn assert_config(cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_some(),
+            "run_crossbar requires a crossbar config"
+        );
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn admit(&mut self, view: &SwitchView<'_>, packet: &Packet) -> Admission {
+        self.0.admit(view, packet)
+    }
+
+    fn transmit(&mut self, view: &SwitchView<'_>, output: PortId) -> TransmitChoice {
+        self.0.transmit(view, output)
+    }
+
+    // detlint: hot
+    fn cycle(&mut self, e: &mut Engine, cycle: Cycle) -> Result<(), PolicyError> {
+        e.in_transfers.clear();
+        let mut input_transfers = std::mem::take(&mut e.in_transfers);
+        self.0
+            .schedule_input(&e.state.view(), cycle, &mut input_transfers);
+        e.state.changes.flush();
+        e.apply_input_subphase(&input_transfers)?;
+        e.in_transfers = input_transfers;
+
+        e.out_transfers.clear();
+        let mut output_transfers = std::mem::take(&mut e.out_transfers);
+        self.0
+            .schedule_output(&e.state.view(), cycle, &mut output_transfers);
+        e.state.changes.flush();
+        e.apply_output_subphase(&output_transfers, cycle)?;
+        e.out_transfers = output_transfers;
+        Ok(())
+    }
 }
 
 /// Run a CIOQ policy over a recorded trace with default options
@@ -1223,28 +1199,6 @@ pub fn run_cioq<P: CioqPolicy + ?Sized>(
 ) -> Result<RunReport, PolicyError> {
     let mut source = TraceSource::new(trace);
     Engine::new(config.clone(), RunOptions::default()).run_cioq(policy, &mut source)
-}
-
-/// Run a CIOQ policy over a recorded trace, returning both the report and
-/// the final switch state (default options).
-pub fn run_cioq_with_final_state<P: CioqPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-) -> Result<(RunReport, crate::state::SwitchState), PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default()).run_cioq_capturing(policy, &mut source)
-}
-
-/// Run a crossbar policy over a recorded trace, returning both the report
-/// and the final switch state (default options).
-pub fn run_crossbar_with_final_state<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-) -> Result<(RunReport, crate::state::SwitchState), PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default()).run_crossbar_capturing(policy, &mut source)
 }
 
 /// Run a CIOQ policy against an arbitrary (possibly adaptive) source for
@@ -1262,31 +1216,6 @@ pub fn run_cioq_with_source<P: CioqPolicy + ?Sized>(
     Engine::new(config.clone(), options).run_cioq(policy, source)
 }
 
-/// Run a CIOQ policy over a recorded trace through the given fabric
-/// transport (default options otherwise). `Immediate` reproduces
-/// [`run_cioq`] exactly.
-pub fn run_cioq_linked<P: CioqPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-    link: &dyn crate::transport::FabricLink,
-) -> Result<RunReport, PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default().link(link)).run_cioq(policy, &mut source)
-}
-
-/// Run a crossbar policy over a recorded trace through the given fabric
-/// transport (default options otherwise).
-pub fn run_crossbar_linked<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    trace: &Trace,
-    link: &dyn crate::transport::FabricLink,
-) -> Result<RunReport, PolicyError> {
-    let mut source = TraceSource::new(trace);
-    Engine::new(config.clone(), RunOptions::default().link(link)).run_crossbar(policy, &mut source)
-}
-
 /// Run a crossbar policy over a recorded trace with default options.
 pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
     config: &SwitchConfig,
@@ -1295,20 +1224,6 @@ pub fn run_crossbar<P: CrossbarPolicy + ?Sized>(
 ) -> Result<RunReport, PolicyError> {
     let mut source = TraceSource::new(trace);
     Engine::new(config.clone(), RunOptions::default()).run_crossbar(policy, &mut source)
-}
-
-/// Run a crossbar policy against an arbitrary source for `slots` slots.
-pub fn run_crossbar_with_source<P: CrossbarPolicy + ?Sized>(
-    config: &SwitchConfig,
-    policy: &mut P,
-    source: &mut dyn ArrivalSource,
-    slots: SlotId,
-) -> Result<RunReport, PolicyError> {
-    let options = RunOptions {
-        slots: Some(slots),
-        ..RunOptions::default()
-    };
-    Engine::new(config.clone(), options).run_crossbar(policy, source)
 }
 
 #[cfg(test)]

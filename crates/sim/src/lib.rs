@@ -44,20 +44,14 @@ pub mod transport;
 mod validate;
 
 pub use changes::{ChangeLog, DirtySet};
-pub use engine::{
-    run_cioq, run_cioq_linked, run_cioq_with_final_state, run_cioq_with_source, run_crossbar,
-    run_crossbar_linked, run_crossbar_with_final_state, run_crossbar_with_source, Engine,
-    RunOptions, RunOutcome,
-};
+pub use engine::{run_cioq, run_cioq_with_source, run_crossbar, Engine, RunOptions, RunOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultScope};
 pub use policy::{
     Admission, CioqPolicy, CrossbarPolicy, InputTransfer, OutputTransfer, PacketPick, PolicyError,
     Transfer, TransmitChoice,
 };
 pub use record::{CrossbarRecording, RecordedCrossbarSchedule, RecordedSchedule, Recording};
-pub use service::{
-    resume_cioq, resume_crossbar, serve_cioq, serve_crossbar, ServiceError, ServiceOutcome,
-};
+pub use service::{serve_cioq, serve_crossbar, ServiceOutcome};
 pub use shard::{
     run_cioq_sharded, run_cioq_sharded_streamed, run_crossbar_sharded,
     run_crossbar_sharded_streamed, Candidate, CandidateSet, CioqShardPolicy, CioqShardWorker,

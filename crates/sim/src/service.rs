@@ -7,42 +7,17 @@
 //! in-flight/calendar state (the usual drain loop — the arrival window
 //! simply ends when the stream closes), and joins the feeder so producer
 //! panics surface instead of vanishing. Checkpoints interleave with live
-//! ingestion via the ordinary `checkpoint_every` option; the resume
-//! variants re-attach a stream to a restored engine at the checkpoint's
-//! [`crate::EngineSnapshot::stream_cursor`].
+//! ingestion via the ordinary `checkpoint_every` option; serving an
+//! engine built by [`Engine::restore`] re-attaches the stream at the
+//! checkpoint's [`crate::EngineSnapshot::stream_cursor`].
 //!
 //! Backpressure is the channel's: a producer that outruns the switch
 //! blocks on the bounded buffer (stall counted, nothing dropped) and the
 //! run's transcript is independent of the channel depth.
 
-use crate::engine::{Engine, RunOptions, RunOutcome};
+use crate::engine::{Engine, RunOutcome};
 use crate::policy::{CioqPolicy, CrossbarPolicy, PolicyError};
-use crate::snapshot::{EngineSnapshot, SnapshotError};
 use crate::stream::{self, StreamCursor, StreamSender, StreamingSource};
-use cioq_model::{ConfigError, SwitchConfig};
-
-/// Errors a service run can surface.
-#[derive(Debug)]
-pub enum ServiceError {
-    /// The run options were invalid.
-    Config(ConfigError),
-    /// The policy made an illegal decision mid-run.
-    Policy(PolicyError),
-    /// The checkpoint could not be restored.
-    Snapshot(SnapshotError),
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::Config(e) => write!(f, "service config: {e}"),
-            ServiceError::Policy(e) => write!(f, "service run: {e}"),
-            ServiceError::Snapshot(e) => write!(f, "service restore: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
 
 /// What a service run produced: the ordinary [`RunOutcome`] plus the
 /// backpressure stall count (diagnostic only — stalls never influence
@@ -55,102 +30,69 @@ pub struct ServiceOutcome {
     pub stalls: u64,
 }
 
-fn finish<R>(
-    run: impl FnOnce(&mut StreamingSource) -> Result<R, PolicyError>,
-    mut source: StreamingSource,
-    pump: stream::StreamPump,
-) -> Result<(R, u64), ServiceError> {
-    let result = run(&mut source);
+/// Open a channel at `engine`'s stream cursor, spawn `produce` on a
+/// feeder thread with that cursor, run the engine through `run` and join
+/// the feeder.
+fn serve<F>(
+    engine: Engine,
+    depth: usize,
+    produce: F,
+    run: impl FnOnce(Engine, &mut StreamingSource) -> Result<RunOutcome, PolicyError>,
+) -> Result<ServiceOutcome, PolicyError>
+where
+    F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
+{
+    let cursor = engine.stream_cursor();
+    let (tx, mut source) = stream::channel_at(depth, cursor);
+    let pump = stream::spawn_producer(tx, move |tx| produce(tx, cursor));
+    let result = run(engine, &mut source);
     let stalls = source.stalls();
     // Drop the consumer before joining: if the run errored mid-stream the
     // producer may be blocked in `send`, and the hangup unblocks it.
     drop(source);
     pump.join();
-    Ok((result.map_err(ServiceError::Policy)?, stalls))
+    Ok(ServiceOutcome {
+        outcome: result?,
+        stalls,
+    })
 }
 
-/// Serve a CIOQ policy from a live stream: `produce` runs on a feeder
-/// thread and pushes slot batches through the [`StreamSender`]; the run
-/// ends (and drains) when it returns or drops the sender. `depth` bounds
-/// the channel buffer.
+/// Serve a CIOQ policy from a live stream. `engine` is fresh from
+/// [`Engine::try_new`] or restored from a checkpoint by
+/// [`Engine::restore`]; the channel opens at its stream cursor (the slot
+/// it starts at and the packets that arrived before), and `produce` runs
+/// on a feeder thread with that cursor, pushing slot batches from there
+/// on through the [`StreamSender`]. The run ends (and drains) when
+/// `produce` returns or drops the sender. `depth` bounds the channel
+/// buffer.
 pub fn serve_cioq<P, F>(
-    config: SwitchConfig,
-    options: RunOptions,
+    engine: Engine,
     policy: &mut P,
     depth: usize,
     produce: F,
-) -> Result<ServiceOutcome, ServiceError>
+) -> Result<ServiceOutcome, PolicyError>
 where
     P: CioqPolicy + ?Sized,
-    F: FnOnce(StreamSender) + Send + 'static,
+    F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
 {
-    let engine = Engine::try_new(config, options).map_err(ServiceError::Config)?;
-    let (tx, source) = stream::channel(depth);
-    let pump = stream::spawn_producer(tx, produce);
-    let (outcome, stalls) = finish(|src| engine.run_cioq_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
+    serve(engine, depth, produce, |e, src| {
+        e.run_cioq_full(policy, src)
+    })
 }
 
 /// Serve a buffered-crossbar policy from a live stream; see
 /// [`serve_cioq`].
 pub fn serve_crossbar<P, F>(
-    config: SwitchConfig,
-    options: RunOptions,
+    engine: Engine,
     policy: &mut P,
     depth: usize,
     produce: F,
-) -> Result<ServiceOutcome, ServiceError>
-where
-    P: CrossbarPolicy + ?Sized,
-    F: FnOnce(StreamSender) + Send + 'static,
-{
-    let engine = Engine::try_new(config, options).map_err(ServiceError::Config)?;
-    let (tx, source) = stream::channel(depth);
-    let pump = stream::spawn_producer(tx, produce);
-    let (outcome, stalls) = finish(|src| engine.run_crossbar_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
-}
-
-/// Resume a CIOQ service run from a checkpoint: the engine restores from
-/// `snap`, and `produce` is handed the checkpoint's stream cursor — it
-/// must re-feed the stream from exactly that slot (the channel enforces
-/// the slot, the replay adapters also verify the consumed count).
-pub fn resume_cioq<P, F>(
-    snap: &EngineSnapshot,
-    options: RunOptions,
-    policy: &mut P,
-    depth: usize,
-    produce: F,
-) -> Result<ServiceOutcome, ServiceError>
-where
-    P: CioqPolicy + ?Sized,
-    F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
-{
-    let engine = Engine::restore(snap, options).map_err(ServiceError::Snapshot)?;
-    let cursor = snap.stream_cursor();
-    let (tx, source) = stream::channel_at(depth, cursor);
-    let pump = stream::spawn_producer(tx, move |tx| produce(tx, cursor));
-    let (outcome, stalls) = finish(|src| engine.run_cioq_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
-}
-
-/// Resume a buffered-crossbar service run from a checkpoint; see
-/// [`resume_cioq`].
-pub fn resume_crossbar<P, F>(
-    snap: &EngineSnapshot,
-    options: RunOptions,
-    policy: &mut P,
-    depth: usize,
-    produce: F,
-) -> Result<ServiceOutcome, ServiceError>
+) -> Result<ServiceOutcome, PolicyError>
 where
     P: CrossbarPolicy + ?Sized,
     F: FnOnce(StreamSender, StreamCursor) + Send + 'static,
 {
-    let engine = Engine::restore(snap, options).map_err(ServiceError::Snapshot)?;
-    let cursor = snap.stream_cursor();
-    let (tx, source) = stream::channel_at(depth, cursor);
-    let pump = stream::spawn_producer(tx, move |tx| produce(tx, cursor));
-    let (outcome, stalls) = finish(|src| engine.run_crossbar_full(policy, src), source, pump)?;
-    Ok(ServiceOutcome { outcome, stalls })
+    serve(engine, depth, produce, |e, src| {
+        e.run_crossbar_full(policy, src)
+    })
 }

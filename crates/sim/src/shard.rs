@@ -1,6 +1,6 @@
 //! Sharded slot engine: the N ports split into K contiguous shards, each
-//! shard running its share of every phase — on std scoped threads when the
-//! host has the cores for it, inline otherwise — with cross-shard traffic
+//! shard running its share of every phase — inline by default, or on std
+//! scoped threads under [`ExecMode::Threads`] — with cross-shard traffic
 //! batched per cycle and reconciled deterministically.
 //!
 //! ## Ownership model
@@ -42,7 +42,7 @@ use crate::engine::take_pick;
 use crate::policy::{Admission, InputTransfer, OutputTransfer, PacketPick, PolicyError, Transfer};
 use crate::record::{RecordedCrossbarSchedule, RecordedSchedule};
 use crate::snapshot::{EngineSnapshot, SnapLanding};
-use crate::state::SwitchState;
+use crate::state::{QueueKind, SwitchState};
 use crate::stats::{RunReport, StatsRecorder};
 use crate::stream::StreamingSource;
 use crate::sync::SpinBarrier;
@@ -131,8 +131,8 @@ impl Partition {
 /// How the shards execute within a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Threads when `K > 1` and the host reports more than one core,
-    /// inline otherwise.
+    /// Inline: no measurement has shown a threaded run beating an inline
+    /// one, so the default takes the execution mode that is never slower.
     #[default]
     Auto,
     /// Run every shard's phase work on the calling thread, in shard order.
@@ -214,17 +214,15 @@ impl ShardedOptions {
     }
 
     fn use_threads(&self) -> bool {
-        match self.mode {
-            ExecMode::Inline => false,
-            ExecMode::Threads => true,
-            ExecMode::Auto => {
-                self.shards > 1
-                    && std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                        > 1
-            }
-        }
+        self.mode == ExecMode::Threads
+    }
+
+    /// The slot the run starts at and the no-progress streak entering it:
+    /// the checkpoint's when resuming, `(0, 0)` otherwise.
+    fn start(&self) -> (SlotId, u32) {
+        self.resume_from
+            .as_ref()
+            .map_or((0, 0), |snap| (snap.slot, snap.idle_slots))
     }
 }
 
@@ -1429,12 +1427,13 @@ impl PhaseScratch<'_> {
     }
 }
 
-/// CIOQ worker phase dispatcher.
+/// Worker phase dispatcher: the phases both architectures share, then the
+/// architecture's own arms.
 // detlint: hot
-fn cioq_phase<'f>(
+fn worker_phase<'f, A: ShardArch>(
     ph: u8,
     s: usize,
-    ctx: &mut WorkerCtx<Box<dyn CioqShardWorker>>,
+    ctx: &mut WorkerCtx<A::Worker>,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
 ) {
@@ -1443,314 +1442,117 @@ fn cioq_phase<'f>(
     }
     match ph {
         PH_ARRIVAL => {
-            let cursor = &mut ctx.arrival_cursor;
             let worker = &mut ctx.worker;
-            arrival_phase(s, cursor, fabric, |view, p| worker.admit(view, p));
-        }
-        PH_PROPOSE => {
-            let st = read_shard(&fabric.shards[s]);
-            let view = ShardView {
-                cfg: fabric.cfg,
-                partition: &fabric.partition,
-                shard: s,
-                state: &st,
-            };
-            let snap = fabric
-                .comms
-                .snapshot
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            let mut out = std::mem::take(&mut *lock(&fabric.comms.candidates[s]));
-            out.clear();
-            ctx.worker
-                .propose(&view, &snap, fabric.comms.cycle_now(), &mut out);
-            *lock(&fabric.comms.candidates[s]) = out;
-        }
-        PH_APPLY_POP => {
-            let slot = fabric.comms.slot.load(Ordering::Relaxed);
-            let cycle = fabric.comms.cycle.load(Ordering::Relaxed);
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.assignments[s]));
-            {
-                // Each (dest, src) mailbox / ring cell has exactly one
-                // writer per phase (this worker), so holding the locks for
-                // the whole pop loop is contention-free and saves a copy
-                // per packet. The guards land in the pooled scratch
-                // buffers (cleared below, before the barrier).
-                scr.mail_boxes
-                    .extend(fabric.comms.mail.iter().enumerate().map(|(dest, cells)| {
-                        (fabric.comms.has_zero && dest != s).then(|| lock(&cells[s]))
-                    }));
-                scr.ring_boxes
-                    .extend(fabric.comms.rings.iter().map(|cells| lock(&cells[s])));
-                let boxes = &mut scr.mail_boxes;
-                let ring_boxes = &mut scr.ring_boxes;
-                let mut st = write_shard(&fabric.shards[s]);
-                // The proposal consumed the change log; everything from here
-                // on accumulates for the next proposal (sequential flush
-                // point).
-                st.changes.flush();
-                for t in asg.drain(..) {
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let local_row = i - st.voq.row_offset();
-                    st.changes.voq.mark(local_row * fabric.cfg.n_outputs + j);
-                    let queue = st.voq.at_global_mut(i, j);
-                    let Some(packet) = take_pick(queue, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !queue.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "input",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let r = Routed {
-                        input: t.input.0,
-                        output: t.output.0,
-                        preempt: t.preempt_if_full,
-                        packet,
-                    };
-                    let dest = fabric.partition.output_owner(j);
-                    let dd = fabric.comms.spec.delay(t.input, t.output);
-                    if dd >= 1 {
-                        // Every positive-latency transfer — same-shard
-                        // included, so results are partition-independent —
-                        // rides the delay line and lands `dd` slots later.
-                        let depth = fabric.comms.ring_depth[dest][s];
-                        ring_boxes[dest][((slot + dd) % depth) as usize].push(Delayed {
-                            slot,
-                            cycle,
-                            r,
-                        });
-                    } else if dest == s {
-                        // Both endpoints owned: skip the mailbox round-trip
-                        // (inserts touch `Q_j`, pops touch `Q_ij` — the
-                        // families are disjoint, so early delivery cannot
-                        // perturb any pop).
-                        if !deliver(&mut st, fabric, r) {
-                            break;
-                        }
-                    } else {
-                        boxes[dest].as_mut().expect("foreign cell locked").push(r);
-                    }
-                }
-            }
-            scr.mail_boxes.clear();
-            scr.ring_boxes.clear();
-            *lock(&fabric.comms.assignments[s]) = asg;
+            arrival_phase(s, &mut ctx.arrival_cursor, fabric, |view, p| {
+                A::admit(worker, view, p)
+            });
         }
         PH_APPLY_INSERT => apply_insert_phase(s, fabric),
         PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
         PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => unreachable!("phase {ph} is not a CIOQ phase"),
+        _ => A::phase(ph, s, ctx, fabric, scr),
     }
 }
 
-/// Buffered-crossbar worker phase dispatcher.
+/// Pop every assigned packet out of shard `s`'s `kind` queues (`Q_ij` for
+/// a CIOQ transfer, `C_ij` for a crossbar output-subphase transfer) and
+/// route it toward `Q_j`: onto the delay line at a positive pair latency,
+/// straight into `Q_j` when this shard owns the column, or into the
+/// column owner's mailbox. Stops at the first policy error.
 // detlint: hot
-fn xbar_phase<'f>(
-    ph: u8,
+fn pop_and_route<'f>(
     s: usize,
-    ctx: &mut WorkerCtx<Box<dyn CrossbarShardWorker>>,
+    kind: QueueKind,
+    st: &mut ShardState,
+    hops: impl Iterator<Item = (PortId, PortId, PacketPick, bool)>,
     fabric: &'f Fabric<'_>,
     scr: &mut PhaseScratch<'f>,
 ) {
-    if fabric.comms.failed.load(Ordering::Acquire) {
-        return;
-    }
+    let slot = fabric.comms.slot.load(Ordering::Relaxed);
+    let cycle = fabric.comms.cycle.load(Ordering::Relaxed);
     let m = fabric.cfg.n_outputs;
-    match ph {
-        PH_ARRIVAL => {
-            let cursor = &mut ctx.arrival_cursor;
-            let worker = &mut ctx.worker;
-            arrival_phase(s, cursor, fabric, |view, p| worker.admit(view, p));
-        }
-        PH_PROPOSE_IN => {
-            let st = read_shard(&fabric.shards[s]);
-            let view = ShardView {
-                cfg: fabric.cfg,
-                partition: &fabric.partition,
-                shard: s,
-                state: &st,
-            };
-            let mut out = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
-            out.clear();
-            ctx.worker
-                .propose_input(&view, fabric.comms.cycle_now(), &mut out);
-            *lock(&fabric.comms.in_assignments[s]) = out;
-        }
-        PH_APPLY_IN => {
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
-            {
-                let mut st = write_shard(&fabric.shards[s]);
-                st.changes.flush();
-                for t in asg.iter() {
-                    let st = &mut *st;
-                    let (i, j) = (t.input.index(), t.output.index());
-                    let local = (i - st.voq.row_offset()) * m + j;
-                    st.changes.voq.mark(local);
-                    st.changes.xbar.mark(local);
-                    let queue = st.voq.at_global_mut(i, j);
-                    let Some(packet) = take_pick(queue, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !queue.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "input",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let xbar = st
-                        .xbar
-                        .as_mut()
-                        .expect("invariant: crossbar queues exist, asserted at run entry")
-                        .at_global_mut(i, j);
-                    if xbar.is_full() {
-                        if !t.preempt_if_full {
-                            fabric.comms.fail(PolicyError::QueueFull {
-                                kind: "crossbar",
-                                input: Some(t.input),
-                                output: t.output,
-                            });
-                            break;
-                        }
-                        let victim = xbar.pop_tail().expect("full queue has a tail");
-                        st.stats.on_preempt_crossbar(&victim);
-                    }
-                    xbar.insert(packet).expect("space ensured");
-                    st.stats.on_transfer_to_crossbar();
-                    // Forward the dirty crosspoint to the column owner's
-                    // cache (batched, flushed below).
-                    ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
-                }
-                asg.clear();
+    // Each (dest, src) mailbox / ring cell has exactly one writer per
+    // phase (this worker), so holding the locks for the whole pop loop is
+    // contention-free and saves a copy per packet. The guards land in the
+    // pooled scratch buffers (cleared below, before the barrier).
+    scr.mail_boxes.extend(
+        fabric
+            .comms
+            .mail
+            .iter()
+            .enumerate()
+            .map(|(dest, cells)| (fabric.comms.has_zero && dest != s).then(|| lock(&cells[s]))),
+    );
+    scr.ring_boxes
+        .extend(fabric.comms.rings.iter().map(|cells| lock(&cells[s])));
+    for (input, output, pick, preempt) in hops {
+        let (i, j) = (input.index(), output.index());
+        let local = (i - st.voq.row_offset()) * m + j;
+        let queue = match kind {
+            QueueKind::Input => {
+                st.changes.voq.mark(local);
+                st.voq.at_global_mut(i, j)
             }
-            ctx.flush_marks(s, fabric);
-            *lock(&fabric.comms.in_assignments[s]) = asg;
-        }
-        PH_PROPOSE_OUT => {
-            let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
-            inbound.clear();
-            for src in &fabric.comms.xbar_marks[s] {
-                inbound.append(&mut lock(src));
+            QueueKind::Crossbar => {
+                st.changes.xbar.mark(local);
+                st.xbar
+                    .as_mut()
+                    .expect("invariant: crossbar queues exist, asserted at run entry")
+                    .at_global_mut(i, j)
             }
-            {
-                fabric.read_all_into(&mut scr.read_guards);
-                let view = fabric.view_of(&scr.read_guards);
-                let snap = fabric
-                    .comms
-                    .snapshot
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner());
-                let mut proposals = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
-                proposals.clear();
-                ctx.worker.propose_output(
-                    &view,
-                    s,
-                    &inbound,
-                    &snap,
-                    fabric.comms.cycle_now(),
-                    &mut proposals,
-                );
-                *lock(&fabric.comms.out_assignments[s]) = proposals;
+            QueueKind::Output => unreachable!("output queues are popped by transmission"),
+        };
+        let packet = match take_pick(queue, pick, kind, Some(input), output) {
+            Ok(packet) => packet,
+            Err(e) => {
+                fabric.comms.fail(e);
+                break;
             }
-            scr.read_guards.clear();
-            ctx.inbound_scratch = inbound;
-        }
-        PH_APPLY_OUT_POP => {
-            let slot = fabric.comms.slot.load(Ordering::Relaxed);
-            let cycle = fabric.comms.cycle.load(Ordering::Relaxed);
-            let mut asg = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
-            {
-                scr.mail_boxes
-                    .extend(fabric.comms.mail.iter().enumerate().map(|(dest, cells)| {
-                        (fabric.comms.has_zero && dest != s).then(|| lock(&cells[s]))
-                    }));
-                scr.ring_boxes
-                    .extend(fabric.comms.rings.iter().map(|cells| lock(&cells[s])));
-                let boxes = &mut scr.mail_boxes;
-                let ring_boxes = &mut scr.ring_boxes;
-                let mut st = write_shard(&fabric.shards[s]);
-                for t in asg.drain(..) {
-                    let st = &mut *st;
-                    let (i, j) = (t.input.index(), t.output.index());
-                    st.changes.xbar.mark((i - st.voq.row_offset()) * m + j);
-                    let xbar = st
-                        .xbar
-                        .as_mut()
-                        .expect("invariant: crossbar queues exist, asserted at run entry")
-                        .at_global_mut(i, j);
-                    let Some(packet) = take_pick(xbar, t.pick) else {
-                        fabric.comms.fail(match t.pick {
-                            PacketPick::ById(id) if !xbar.is_empty() => {
-                                PolicyError::NoSuchPacket { id }
-                            }
-                            _ => PolicyError::EmptyQueue {
-                                kind: "crossbar",
-                                input: Some(t.input),
-                                output: t.output,
-                            },
-                        });
-                        break;
-                    };
-                    let dest = fabric.partition.output_owner(j);
-                    let r = Routed {
-                        input: t.input.0,
-                        output: t.output.0,
-                        preempt: t.preempt_if_full,
-                        packet,
-                    };
-                    let dd = fabric.comms.spec.delay(t.input, t.output);
-                    if dd >= 1 {
-                        let depth = fabric.comms.ring_depth[dest][s];
-                        ring_boxes[dest][((slot + dd) % depth) as usize].push(Delayed {
-                            slot,
-                            cycle,
-                            r,
-                        });
-                    } else if dest == s {
-                        if !deliver(st, fabric, r) {
-                            break;
-                        }
-                    } else {
-                        boxes[dest].as_mut().expect("foreign cell locked").push(r);
-                    }
-                    // The crosspoint pop is control-plane news either way:
-                    // the column cache must see `C_ij` shrink now.
-                    ctx.marks[dest].push((i * m + j) as u32);
-                }
+        };
+        let r = Routed {
+            input: input.0,
+            output: output.0,
+            preempt,
+            packet,
+        };
+        let dest = fabric.partition.output_owner(j);
+        let dd = fabric.comms.spec.delay(input, output);
+        if dd >= 1 {
+            // Every positive-latency transfer — same-shard included, so
+            // results are partition-independent — rides the delay line
+            // and lands `dd` slots later.
+            let depth = fabric.comms.ring_depth[dest][s];
+            scr.ring_boxes[dest][((slot + dd) % depth) as usize].push(Delayed { slot, cycle, r });
+        } else if dest == s {
+            // Both endpoints owned: skip the mailbox round-trip (inserts
+            // touch `Q_j`, pops touch `Q_ij` / `C_ij` — the families are
+            // disjoint, so early delivery cannot perturb any pop).
+            if !deliver(st, fabric, r) {
+                break;
             }
-            scr.mail_boxes.clear();
-            scr.ring_boxes.clear();
-            ctx.flush_marks(s, fabric);
-            *lock(&fabric.comms.out_assignments[s]) = asg;
+        } else {
+            scr.mail_boxes[dest]
+                .as_mut()
+                .expect("foreign cell locked")
+                .push(r);
         }
-        PH_APPLY_INSERT => apply_insert_phase(s, fabric),
-        PH_LAND => land_phase(s, fabric, &mut ctx.land_scratch),
-        PH_TRANSMIT => transmit_phase(s, fabric),
-        _ => unreachable!("phase {ph} is not a crossbar phase"),
     }
+    scr.mail_boxes.clear();
+    scr.ring_boxes.clear();
 }
 
 // ---------------------------------------------------------------------------
 // Driver: inline or barrier-phased threads
 // ---------------------------------------------------------------------------
 
-fn drive<W: Send, S>(
+fn drive<W: Send, S, T>(
     use_threads: bool,
     comms: &Comms,
     mut workers: Vec<W>,
     mk_scratch: impl Fn() -> S + Sync,
     worker_phase: impl Fn(u8, usize, &mut W, &mut S) + Sync,
-    coordinate: impl FnOnce(&mut dyn FnMut(u8) -> Result<(), PolicyError>) -> Result<(), PolicyError>,
-) -> Result<(), PolicyError> {
+    coordinate: impl FnOnce(&mut dyn FnMut(u8) -> Result<(), PolicyError>) -> Result<T, PolicyError>,
+) -> Result<T, PolicyError> {
     let check = |comms: &Comms| -> Result<(), PolicyError> {
         if let Some(msg) = lock(&comms.panic).take() {
             panic!("sharded worker panicked: {msg}");
@@ -2045,16 +1847,11 @@ fn capture_sharded(
 /// receives its queue contents, the delay-line rings their in-flight
 /// packets (bucketed by landing slot), and shard 0 the cumulative
 /// statistics (per-shard stats are merged at the end, so where the
-/// history sits is immaterial). Returns the slot and no-progress streak
-/// the coordinator resumes at. Panics loudly on a snapshot that cannot
+/// history sits is immaterial). Panics loudly on a snapshot that cannot
 /// be applied here: wrong geometry or fabric, fault-held packets or a
 /// stats window (the sharded engine supports neither), or landings
 /// outside their ring's window.
-fn seed_from_snapshot(
-    fabric: &Fabric<'_>,
-    snap: &EngineSnapshot,
-    options: &ShardedOptions,
-) -> (SlotId, u32) {
+fn seed_from_snapshot(fabric: &Fabric<'_>, snap: &EngineSnapshot, options: &ShardedOptions) {
     let cfg = fabric.cfg;
     let m = cfg.n_outputs;
     assert_eq!(
@@ -2153,7 +1950,6 @@ fn seed_from_snapshot(
         (snap.residual_count, snap.residual_value),
         "restored residual does not match the checkpoint"
     );
-    (snap.slot, snap.idle_slots)
 }
 
 fn finish_run(
@@ -2213,14 +2009,25 @@ fn audit_sharded_slot(fabric: &Fabric<'_>) {
 
 /// Where a sharded run's arrivals come from: a pre-recorded trace
 /// (bucketed up front, cursor-walked by the workers) or a live
-/// [`StreamingSource`] (pulled slot by slot on the coordinator and staged
-/// to the owner shards between barriers).
+/// [`StreamingSource`] (pulled slot by slot on the coordinator into the
+/// reused `batch` buffer and staged to the owner shards between
+/// barriers).
 enum Feed<'t, 's> {
     Trace(&'t Trace),
-    Stream(&'s mut StreamingSource),
+    Stream {
+        src: &'s mut StreamingSource,
+        batch: Vec<Packet>,
+    },
 }
 
-impl Feed<'_, '_> {
+impl<'s> Feed<'_, 's> {
+    fn stream(src: &'s mut StreamingSource) -> Self {
+        Feed::Stream {
+            src,
+            batch: Vec::new(),
+        }
+    }
+
     /// Build the run's arrival plumbing: the fixed arrival-window length
     /// (if one is known), the pre-bucketed arrivals (empty for a stream)
     /// and the streamed flag.
@@ -2240,7 +2047,7 @@ impl Feed<'_, '_> {
                     false,
                 ))
             }
-            Feed::Stream(_) => Ok((
+            Feed::Stream { .. } => Ok((
                 options.slots,
                 (0..partition.k()).map(|_| Vec::new()).collect(),
                 true,
@@ -2252,7 +2059,7 @@ impl Feed<'_, '_> {
     /// the checkpoint's stream cursor; anywhere else the replayed stream
     /// is not the one the checkpoint was taken on.
     fn check_resume(&self, start_slot: SlotId, options: &ShardedOptions) {
-        if let Feed::Stream(src) = self {
+        if let Feed::Stream { src, .. } = self {
             let cur = src.cursor();
             assert!(
                 cur.slot == start_slot,
@@ -2276,7 +2083,7 @@ impl Feed<'_, '_> {
         match fixed_slots {
             Some(n) => slot < n,
             None => match self {
-                Feed::Stream(src) => {
+                Feed::Stream { src, .. } => {
                     // Blocks until the source can answer (batch buffered
                     // or stream closed) — the workers are parked at the
                     // slot barrier, so only the coordinator waits.
@@ -2286,40 +2093,631 @@ impl Feed<'_, '_> {
             },
         }
     }
+
+    /// Stage a streamed slot's batch (coordinator only, between barriers):
+    /// pull it from the channel — blocking until the producer catches up —
+    /// validate ports, and distribute `(global index, packet)` pairs to the
+    /// owner shards' staging cells. Global indices continue the consumed
+    /// count, so they equal the trace-numbered ids of the prebucketed path
+    /// and recorded admissions line up across modes. A trace feed has
+    /// nothing to stage: its arrivals were bucketed at run start.
+    fn stage(&mut self, fabric: &Fabric<'_>, slot: SlotId) -> Result<(), PolicyError> {
+        let Feed::Stream { src, batch } = self else {
+            return Ok(());
+        };
+        batch.clear();
+        let base = src.consumed();
+        src.pull(slot, batch);
+        for (off, p) in batch.iter().enumerate() {
+            if p.input.index() >= fabric.cfg.n_inputs {
+                return Err(PolicyError::PortOutOfRange {
+                    side: "input",
+                    port: p.input.index(),
+                });
+            }
+            if p.output.index() >= fabric.cfg.n_outputs {
+                return Err(PolicyError::PortOutOfRange {
+                    side: "output",
+                    port: p.output.index(),
+                });
+            }
+            lock(&fabric.staged[fabric.partition.input_owner(p.input.index())])
+                .push((base + off as u64, *p));
+        }
+        Ok(())
+    }
 }
 
-/// Stage a streamed slot's batch (coordinator only, between barriers):
-/// pull it from the channel — blocking until the producer catches up —
-/// validate ports, and distribute `(global index, packet)` pairs to the
-/// owner shards' staging cells. Global indices continue the consumed
-/// count, so they equal the trace-numbered ids of the prebucketed path
-/// and recorded admissions line up across modes.
-fn stage_stream_slot(
-    fabric: &Fabric<'_>,
-    src: &mut StreamingSource,
-    slot: SlotId,
-    scratch: &mut Vec<Packet>,
-) -> Result<(), PolicyError> {
-    scratch.clear();
-    let base = src.consumed();
-    src.pull(slot, scratch);
-    for (off, p) in scratch.iter().enumerate() {
-        if p.input.index() >= fabric.cfg.n_inputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "input",
-                port: p.input.index(),
-            });
+/// The per-architecture parts of a sharded run: the worker phase arms,
+/// the coordinator's side of a scheduling cycle and the decision
+/// transcript. [`run_sharded`] owns everything else.
+trait ShardArch {
+    type Worker: Send;
+    /// Panic unless `cfg` has this architecture's queues.
+    fn assert_config(cfg: &SwitchConfig);
+    fn name(&self) -> &str;
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker;
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission;
+    /// The worker phases only this architecture runs.
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    );
+    /// One scheduling cycle on the coordinator, through the phase that
+    /// pops the cycle's packets into the fabric.
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        cycle: Cycle,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError>;
+    /// Hand the recorded transcript to `out` (recording runs only).
+    fn transcript(
+        self,
+        admissions: Vec<bool>,
+        fabric_delay: SlotId,
+        cfg: &SwitchConfig,
+        out: &mut ShardedOutcome,
+    );
+}
+
+/// One cycle's `(input, output)` pairs for a decision transcript.
+fn transcript_row(pairs: impl Iterator<Item = (PortId, PortId)>) -> Vec<(u16, u16)> {
+    pairs.map(|(i, j)| (i.0, j.0)).collect()
+}
+
+/// CIOQ: the shards' proposals merge into one matching per cycle, whose
+/// transfers the row owners pop.
+struct CioqShard<'p> {
+    policy: &'p dyn CioqShardPolicy,
+    transfers: Vec<Transfer>,
+    merge: MergeScratch,
+    validate: MergeScratch,
+    /// Coordinator-side mirror of the per-shard proposal payloads:
+    /// swapped with the mutex contents around each merge (and swapped
+    /// back after), so reading every shard's candidates costs two lock
+    /// rounds and zero allocation per cycle.
+    sets: Vec<CandidateSet>,
+    recorded: Vec<Vec<(u16, u16)>>,
+}
+
+impl<'p> CioqShard<'p> {
+    fn new(policy: &'p dyn CioqShardPolicy, k: usize) -> Self {
+        CioqShard {
+            policy,
+            transfers: Vec::new(),
+            merge: MergeScratch::default(),
+            validate: MergeScratch::default(),
+            sets: (0..k).map(|_| CandidateSet::default()).collect(),
+            recorded: Vec::new(),
         }
-        if p.output.index() >= fabric.cfg.n_outputs {
-            return Err(PolicyError::PortOutOfRange {
-                side: "output",
-                port: p.output.index(),
-            });
-        }
-        lock(&fabric.staged[fabric.partition.input_owner(p.input.index())])
-            .push((base + off as u64, *p));
     }
-    Ok(())
+}
+
+impl ShardArch for CioqShard<'_> {
+    type Worker = Box<dyn CioqShardWorker>;
+
+    fn assert_config(cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_none(),
+            "run_cioq_sharded requires a CIOQ config"
+        );
+    }
+
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
+        self.policy.new_worker(shard, partition, cfg)
+    }
+
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+        worker.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    ) {
+        match ph {
+            PH_PROPOSE => {
+                let st = read_shard(&fabric.shards[s]);
+                let view = ShardView {
+                    cfg: fabric.cfg,
+                    partition: &fabric.partition,
+                    shard: s,
+                    state: &st,
+                };
+                let snap = fabric
+                    .comms
+                    .snapshot
+                    .read()
+                    .unwrap_or_else(|e| e.into_inner());
+                let mut out = std::mem::take(&mut *lock(&fabric.comms.candidates[s]));
+                out.clear();
+                ctx.worker
+                    .propose(&view, &snap, fabric.comms.cycle_now(), &mut out);
+                *lock(&fabric.comms.candidates[s]) = out;
+            }
+            PH_APPLY_POP => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.assignments[s]));
+                {
+                    let mut st = write_shard(&fabric.shards[s]);
+                    // The proposal consumed the change log; everything from
+                    // here on accumulates for the next proposal (sequential
+                    // flush point).
+                    st.changes.flush();
+                    let hops = asg
+                        .iter()
+                        .map(|t| (t.input, t.output, t.pick, t.preempt_if_full));
+                    pop_and_route(s, QueueKind::Input, &mut st, hops, fabric, scr);
+                }
+                asg.clear();
+                *lock(&fabric.comms.assignments[s]) = asg;
+            }
+            _ => unreachable!("phase {ph} is not a CIOQ phase"),
+        }
+    }
+
+    // detlint: hot
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        cycle: Cycle,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError> {
+        fabric.refresh_snapshot();
+        do_phase(PH_PROPOSE)?;
+
+        // Deterministic merge (coordinator only, state frozen).
+        self.transfers.clear();
+        {
+            // Swap each shard's payload out of its mutex, merge over the
+            // owned mirror, then swap back — the workers are parked at the
+            // barrier, so the mutex contents are unobserved in between and
+            // end up exactly as published (the delta-publish handshake
+            // sees nothing).
+            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+                std::mem::swap(cs, &mut *lock(m));
+            }
+            let snap = fabric
+                .comms
+                .snapshot
+                .read()
+                .unwrap_or_else(|e| e.into_inner());
+            let ctx = MergeContext {
+                cfg: fabric.cfg,
+                partition: &fabric.partition,
+                outputs: &snap,
+                cycle,
+                candidates: &self.sets,
+            };
+            self.policy
+                .merge(&ctx, &mut self.merge, &mut self.transfers);
+            for (cs, m) in self.sets.iter_mut().zip(&fabric.comms.candidates) {
+                std::mem::swap(cs, &mut *lock(m));
+            }
+        }
+        let pairs = || self.transfers.iter().map(|t| (t.input, t.output));
+        validate_transfers(pairs(), fabric.cfg, &mut self.validate, true, true)?;
+        if fabric.comms.record {
+            self.recorded.push(transcript_row(pairs()));
+        }
+        // One short lock per transfer (uncontended: workers are parked),
+        // preserving per-owner push order.
+        for t in &self.transfers {
+            let owner = fabric.partition.input_owner(t.input.index());
+            lock(&fabric.comms.assignments[owner]).push(*t);
+        }
+        do_phase(PH_APPLY_POP)
+    }
+
+    fn transcript(
+        self,
+        admissions: Vec<bool>,
+        fabric_delay: SlotId,
+        cfg: &SwitchConfig,
+        out: &mut ShardedOutcome,
+    ) {
+        let schedule = RecordedSchedule {
+            admissions,
+            transfers: self.recorded,
+            fabric_delay,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(msg) = crate::invariants::check_schedule(&schedule, cfg) {
+                panic!("sharded run produced an invalid schedule transcript: {msg}");
+            }
+        }
+        out.schedule = Some(schedule);
+    }
+}
+
+/// Buffered crossbar: an input subphase whose per-shard proposals
+/// concatenate in shard order, then an output subphase whose proposals go
+/// to the row owners to pop. Both decide per port, so nothing merges.
+struct XbarShard<'p> {
+    policy: &'p dyn CrossbarShardPolicy,
+    inputs: Vec<InputTransfer>,
+    outputs: Vec<OutputTransfer>,
+    validate: MergeScratch,
+    rec_in: Vec<Vec<(u16, u16)>>,
+    rec_out: Vec<Vec<(u16, u16)>>,
+}
+
+impl<'p> XbarShard<'p> {
+    fn new(policy: &'p dyn CrossbarShardPolicy) -> Self {
+        XbarShard {
+            policy,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            validate: MergeScratch::default(),
+            rec_in: Vec::new(),
+            rec_out: Vec::new(),
+        }
+    }
+}
+
+impl ShardArch for XbarShard<'_> {
+    type Worker = Box<dyn CrossbarShardWorker>;
+
+    fn assert_config(cfg: &SwitchConfig) {
+        assert!(
+            cfg.crossbar_capacity.is_some(),
+            "run_crossbar_sharded requires a crossbar config"
+        );
+    }
+
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn new_worker(&self, shard: usize, partition: &Partition, cfg: &SwitchConfig) -> Self::Worker {
+        self.policy.new_worker(shard, partition, cfg)
+    }
+
+    fn admit(worker: &mut Self::Worker, view: &ShardView<'_>, packet: &Packet) -> Admission {
+        worker.admit(view, packet)
+    }
+
+    // detlint: hot
+    fn phase<'f>(
+        ph: u8,
+        s: usize,
+        ctx: &mut WorkerCtx<Self::Worker>,
+        fabric: &'f Fabric<'_>,
+        scr: &mut PhaseScratch<'f>,
+    ) {
+        let m = fabric.cfg.n_outputs;
+        match ph {
+            PH_PROPOSE_IN => {
+                let st = read_shard(&fabric.shards[s]);
+                let view = ShardView {
+                    cfg: fabric.cfg,
+                    partition: &fabric.partition,
+                    shard: s,
+                    state: &st,
+                };
+                let mut out = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
+                out.clear();
+                ctx.worker
+                    .propose_input(&view, fabric.comms.cycle_now(), &mut out);
+                *lock(&fabric.comms.in_assignments[s]) = out;
+            }
+            PH_APPLY_IN => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.in_assignments[s]));
+                {
+                    let mut st = write_shard(&fabric.shards[s]);
+                    st.changes.flush();
+                    for t in asg.iter() {
+                        let st = &mut *st;
+                        let (i, j) = (t.input.index(), t.output.index());
+                        let local = (i - st.voq.row_offset()) * m + j;
+                        st.changes.voq.mark(local);
+                        st.changes.xbar.mark(local);
+                        let queue = st.voq.at_global_mut(i, j);
+                        let packet = match take_pick(
+                            queue,
+                            t.pick,
+                            QueueKind::Input,
+                            Some(t.input),
+                            t.output,
+                        ) {
+                            Ok(packet) => packet,
+                            Err(e) => {
+                                fabric.comms.fail(e);
+                                break;
+                            }
+                        };
+                        let xbar = st
+                            .xbar
+                            .as_mut()
+                            .expect("invariant: crossbar queues exist, asserted at run entry")
+                            .at_global_mut(i, j);
+                        if xbar.is_full() {
+                            if !t.preempt_if_full {
+                                fabric.comms.fail(PolicyError::QueueFull {
+                                    kind: "crossbar",
+                                    input: Some(t.input),
+                                    output: t.output,
+                                });
+                                break;
+                            }
+                            let victim = xbar.pop_tail().expect("full queue has a tail");
+                            st.stats.on_preempt_crossbar(&victim);
+                        }
+                        xbar.insert(packet).expect("space ensured");
+                        st.stats.on_transfer_to_crossbar();
+                        // Forward the dirty crosspoint to the column owner's
+                        // cache (batched, flushed below).
+                        ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                    }
+                    asg.clear();
+                }
+                ctx.flush_marks(s, fabric);
+                *lock(&fabric.comms.in_assignments[s]) = asg;
+            }
+            PH_PROPOSE_OUT => {
+                let mut inbound = std::mem::take(&mut ctx.inbound_scratch);
+                inbound.clear();
+                for src in &fabric.comms.xbar_marks[s] {
+                    inbound.append(&mut lock(src));
+                }
+                {
+                    fabric.read_all_into(&mut scr.read_guards);
+                    let view = fabric.view_of(&scr.read_guards);
+                    let snap = fabric
+                        .comms
+                        .snapshot
+                        .read()
+                        .unwrap_or_else(|e| e.into_inner());
+                    let mut proposals =
+                        std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
+                    proposals.clear();
+                    ctx.worker.propose_output(
+                        &view,
+                        s,
+                        &inbound,
+                        &snap,
+                        fabric.comms.cycle_now(),
+                        &mut proposals,
+                    );
+                    *lock(&fabric.comms.out_assignments[s]) = proposals;
+                }
+                scr.read_guards.clear();
+                ctx.inbound_scratch = inbound;
+            }
+            PH_APPLY_OUT_POP => {
+                let mut asg = std::mem::take(&mut *lock(&fabric.comms.out_assignments[s]));
+                {
+                    let mut st = write_shard(&fabric.shards[s]);
+                    let hops = asg
+                        .iter()
+                        .map(|t| (t.input, t.output, t.pick, t.preempt_if_full));
+                    pop_and_route(s, QueueKind::Crossbar, &mut st, hops, fabric, scr);
+                }
+                // The crosspoint pops are control-plane news whatever the
+                // route: the column caches must see each `C_ij` shrink now.
+                for t in asg.drain(..) {
+                    let (i, j) = (t.input.index(), t.output.index());
+                    ctx.marks[fabric.partition.output_owner(j)].push((i * m + j) as u32);
+                }
+                ctx.flush_marks(s, fabric);
+                *lock(&fabric.comms.out_assignments[s]) = asg;
+            }
+            _ => unreachable!("phase {ph} is not a crossbar phase"),
+        }
+    }
+
+    // detlint: hot
+    fn cycle(
+        &mut self,
+        fabric: &Fabric<'_>,
+        _cycle: Cycle,
+        do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+    ) -> Result<(), PolicyError> {
+        do_phase(PH_PROPOSE_IN)?;
+        // Concatenated in shard order = ascending input port order;
+        // validate the ≤ 1-per-input-port property.
+        self.inputs.clear();
+        for m in &fabric.comms.in_assignments {
+            self.inputs.extend_from_slice(&lock(m));
+        }
+        let pairs = || self.inputs.iter().map(|t| (t.input, t.output));
+        validate_transfers(pairs(), fabric.cfg, &mut self.validate, true, false)?;
+        if fabric.comms.record {
+            self.rec_in.push(transcript_row(pairs()));
+        }
+        do_phase(PH_APPLY_IN)?;
+
+        // The output subphase reads output occupancy through the snapshot
+        // (virtual fullness on a delayed fabric); refresh it at the exact
+        // point the sequential engine would read live state.
+        fabric.refresh_snapshot();
+        do_phase(PH_PROPOSE_OUT)?;
+        // Output proposals go to the *row* owners for the pop step;
+        // validate ≤ 1 per output port first.
+        self.outputs.clear();
+        for mbox in &fabric.comms.out_assignments {
+            self.outputs.extend(lock(mbox).drain(..));
+        }
+        let pairs = || self.outputs.iter().map(|t| (t.input, t.output));
+        validate_transfers(pairs(), fabric.cfg, &mut self.validate, false, true)?;
+        if fabric.comms.record {
+            self.rec_out.push(transcript_row(pairs()));
+        }
+        for t in self.outputs.drain(..) {
+            let owner = fabric.partition.input_owner(t.input.index());
+            lock(&fabric.comms.out_assignments[owner]).push(t);
+        }
+        do_phase(PH_APPLY_OUT_POP)
+    }
+
+    fn transcript(
+        self,
+        admissions: Vec<bool>,
+        fabric_delay: SlotId,
+        cfg: &SwitchConfig,
+        out: &mut ShardedOutcome,
+    ) {
+        let schedule = RecordedCrossbarSchedule {
+            admissions,
+            input_transfers: self.rec_in,
+            output_transfers: self.rec_out,
+            fabric_delay,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(msg) = crate::invariants::check_crossbar_schedule(&schedule, cfg) {
+                panic!("sharded run produced an invalid schedule transcript: {msg}");
+            }
+        }
+        out.crossbar_schedule = Some(schedule);
+    }
+}
+
+/// Run a sharded policy of either architecture: build the fabric and the
+/// workers (fresh, or seeded from `options.resume_from`), drive the slot
+/// loop inline or on threads, and merge the shards' results.
+fn run_sharded<A: ShardArch>(
+    cfg: &SwitchConfig,
+    mut arch: A,
+    mut feed: Feed<'_, '_>,
+    options: ShardedOptions,
+) -> Result<ShardedOutcome, PolicyError> {
+    A::assert_config(cfg);
+    options.fabric.assert_covers(cfg);
+    let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
+    let k = partition.k();
+    let (fixed_slots, arrivals, streamed) = feed.plumbing(cfg, &partition, &options)?;
+    let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
+    let fabric = Fabric {
+        cfg,
+        shards: (0..k)
+            .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
+            .collect(),
+        partition,
+        arrivals,
+        staged: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
+        streamed,
+        comms,
+    };
+    let mut workers: Vec<WorkerCtx<A::Worker>> = (0..k)
+        .map(|s| {
+            let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
+            WorkerCtx::new(arch.new_worker(s, &fabric.partition, cfg), k, mark_cap)
+        })
+        .collect();
+    if let Some(snap) = &options.resume_from {
+        seed_from_snapshot(&fabric, snap, &options);
+    }
+    let (start_slot, _) = options.start();
+    feed.check_resume(start_slot, &options);
+    for (s, w) in workers.iter_mut().enumerate() {
+        w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
+    }
+
+    let mut checkpoints = Vec::new();
+    let slots = drive(
+        options.use_threads(),
+        &fabric.comms,
+        workers,
+        PhaseScratch::new,
+        |ph, s, w, scr| worker_phase::<A>(ph, s, w, &fabric, scr),
+        |do_phase| {
+            slot_loop(
+                &mut arch,
+                &fabric,
+                &mut feed,
+                fixed_slots,
+                &options,
+                &mut checkpoints,
+                do_phase,
+            )
+        },
+    )?;
+
+    let (report, final_state, admissions) =
+        finish_run(&fabric, arch.name().to_string(), slots, &options);
+    let mut outcome = ShardedOutcome {
+        report,
+        schedule: None,
+        crossbar_schedule: None,
+        final_state,
+        checkpoints,
+    };
+    if options.record {
+        arch.transcript(admissions, options.fabric.max_delay(), cfg, &mut outcome);
+    }
+    Ok(outcome)
+}
+
+/// The coordinator's slot loop, for either architecture: arrival window
+/// and drain cutoff, checkpoint cadence, then landing, arrivals, ŝ
+/// scheduling cycles (the architecture's part) and transmission, each
+/// phase between barriers. Returns the slot the run ended at.
+// detlint: hot
+fn slot_loop<A: ShardArch>(
+    arch: &mut A,
+    fabric: &Fabric<'_>,
+    feed: &mut Feed<'_, '_>,
+    fixed_slots: Option<SlotId>,
+    options: &ShardedOptions,
+    checkpoints: &mut Vec<EngineSnapshot>,
+    do_phase: &mut dyn FnMut(u8) -> Result<(), PolicyError>,
+) -> Result<SlotId, PolicyError> {
+    let (mut slot, mut idle_slots) = options.start();
+    loop {
+        let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
+        if !in_arrival_window {
+            // In-flight packets always land (and count as progress), so
+            // the idle cutoff waits for the fabric.
+            let done = !options.drain
+                || fabric.residual().0 == 0
+                || (idle_slots >= 2 && fabric.in_flight_total() == 0);
+            if done {
+                break;
+            }
+        }
+        fabric.comms.slot.store(slot, Ordering::Relaxed);
+        if let Some(every) = options.checkpoint_every {
+            if slot > 0 && slot.is_multiple_of(every) {
+                checkpoints.push(capture_sharded(fabric, options, slot, idle_slots));
+            }
+        }
+        let (tx_before, moved_before) = fabric.progress();
+
+        if fabric.comms.horizon >= 1 {
+            do_phase(PH_LAND)?;
+        }
+        if in_arrival_window {
+            feed.stage(fabric, slot)?;
+            do_phase(PH_ARRIVAL)?;
+        }
+        for s in 0..fabric.cfg.speedup {
+            fabric.comms.cycle.store(s, Ordering::Relaxed);
+            arch.cycle(fabric, Cycle { slot, index: s }, do_phase)?;
+            if fabric.comms.has_zero {
+                do_phase(PH_APPLY_INSERT)?;
+            }
+        }
+        do_phase(PH_TRANSMIT)?;
+        post_slot_validate(fabric, options);
+        audit_sharded_slot(fabric);
+
+        let (tx_after, moved_after) = fabric.progress();
+        let progressed = tx_after != tx_before || moved_after != moved_before;
+        idle_slots = if progressed { 0 } else { idle_slots + 1 };
+        slot += 1;
+    }
+    Ok(slot)
 }
 
 /// Run a sharded CIOQ policy over a recorded trace.
@@ -2333,7 +2731,8 @@ pub fn run_cioq_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(cfg, policy, Feed::Trace(trace), options)
+    let arch = CioqShard::new(policy, options.shards);
+    run_sharded(cfg, arch, Feed::Trace(trace), options)
 }
 
 /// Run a sharded CIOQ policy against a live [`StreamingSource`] — the
@@ -2348,199 +2747,8 @@ pub fn run_cioq_sharded_streamed(
     source: &mut StreamingSource,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_cioq_sharded_feed(cfg, policy, Feed::Stream(source), options)
-}
-
-fn run_cioq_sharded_feed(
-    cfg: &SwitchConfig,
-    policy: &dyn CioqShardPolicy,
-    mut feed: Feed<'_, '_>,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    assert!(
-        cfg.crossbar_capacity.is_none(),
-        "run_cioq_sharded requires a CIOQ config"
-    );
-    options.fabric.assert_covers(cfg);
-    let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
-    let k = partition.k();
-    let (fixed_slots, arrivals, streamed) = feed.plumbing(cfg, &partition, &options)?;
-    let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
-    let fabric = Fabric {
-        cfg,
-        shards: (0..k)
-            .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
-            .collect(),
-        partition,
-        arrivals,
-        staged: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-        streamed,
-        comms,
-    };
-    let mut workers: Vec<WorkerCtx<Box<dyn CioqShardWorker>>> = (0..k)
-        .map(|s| {
-            let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
-            WorkerCtx::new(policy.new_worker(s, &fabric.partition, cfg), k, mark_cap)
-        })
-        .collect();
-    let (start_slot, start_idle) = options
-        .resume_from
-        .as_ref()
-        .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
-    feed.check_resume(start_slot, &options);
-    for (s, w) in workers.iter_mut().enumerate() {
-        w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
-    }
-
-    let speedup = cfg.speedup;
-    let horizon = fabric.comms.horizon;
-    let has_zero = fabric.comms.has_zero;
-    let mut recorded: Vec<Vec<(u16, u16)>> = Vec::new();
-    let mut final_slot: SlotId = 0;
-    let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
-
-    let result = drive(
-        options.use_threads(),
-        &fabric.comms,
-        workers,
-        PhaseScratch::new,
-        |ph, s, w, scr| cioq_phase(ph, s, w, &fabric, scr),
-        |do_phase| {
-            let mut slot: SlotId = start_slot;
-            let mut idle_slots = start_idle;
-            let mut transfers: Vec<Transfer> = Vec::new();
-            let mut merge_scratch = MergeScratch::default();
-            let mut validate_scratch = MergeScratch::default();
-            let mut stage_scratch: Vec<Packet> = Vec::new();
-            // Coordinator-side mirror of the per-shard proposal payloads:
-            // swapped with the mutex contents around each merge (and
-            // swapped back after), so reading every shard's candidates
-            // costs two lock rounds and zero allocation per cycle.
-            let mut coord_sets: Vec<CandidateSet> =
-                (0..k).map(|_| CandidateSet::default()).collect();
-            loop {
-                let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
-                if !in_arrival_window {
-                    // In-flight packets always land (and count as
-                    // progress), so the idle cutoff waits for the fabric.
-                    let done = !options.drain
-                        || fabric.residual().0 == 0
-                        || (idle_slots >= 2 && fabric.in_flight_total() == 0);
-                    if done {
-                        break;
-                    }
-                }
-                fabric.comms.slot.store(slot, Ordering::Relaxed);
-                if let Some(every) = options.checkpoint_every {
-                    if slot > 0 && slot.is_multiple_of(every) {
-                        checkpoints.push(capture_sharded(&fabric, &options, slot, idle_slots));
-                    }
-                }
-                let (tx_before, moved_before) = fabric.progress();
-
-                if horizon >= 1 {
-                    do_phase(PH_LAND)?;
-                }
-                if in_arrival_window {
-                    if let Feed::Stream(src) = &mut feed {
-                        stage_stream_slot(&fabric, src, slot, &mut stage_scratch)?;
-                    }
-                    do_phase(PH_ARRIVAL)?;
-                }
-
-                for s in 0..speedup {
-                    fabric.comms.cycle.store(s, Ordering::Relaxed);
-                    fabric.refresh_snapshot();
-                    do_phase(PH_PROPOSE)?;
-
-                    // Deterministic merge (coordinator only, state frozen).
-                    transfers.clear();
-                    {
-                        // Swap each shard's payload out of its mutex, merge
-                        // over the owned mirror, then swap back — the
-                        // workers are parked at the barrier, so the mutex
-                        // contents are unobserved in between and end up
-                        // exactly as published (the delta-publish handshake
-                        // sees nothing).
-                        for (cs, m) in coord_sets.iter_mut().zip(&fabric.comms.candidates) {
-                            std::mem::swap(cs, &mut *lock(m));
-                        }
-                        let snap = fabric
-                            .comms
-                            .snapshot
-                            .read()
-                            .unwrap_or_else(|e| e.into_inner());
-                        let ctx = MergeContext {
-                            cfg,
-                            partition: &fabric.partition,
-                            outputs: &snap,
-                            cycle: Cycle { slot, index: s },
-                            candidates: &coord_sets,
-                        };
-                        policy.merge(&ctx, &mut merge_scratch, &mut transfers);
-                        for (cs, m) in coord_sets.iter_mut().zip(&fabric.comms.candidates) {
-                            std::mem::swap(cs, &mut *lock(m));
-                        }
-                    }
-                    validate_transfers(
-                        transfers.iter().map(|t| (t.input, t.output)),
-                        cfg,
-                        &mut validate_scratch,
-                        true,
-                        true,
-                    )?;
-                    if options.record {
-                        recorded.push(transfers.iter().map(|t| (t.input.0, t.output.0)).collect());
-                    }
-                    // One short lock per transfer (uncontended: workers are
-                    // parked), preserving per-owner push order.
-                    for t in &transfers {
-                        let owner = fabric.partition.input_owner(t.input.index());
-                        lock(&fabric.comms.assignments[owner]).push(*t);
-                    }
-
-                    do_phase(PH_APPLY_POP)?;
-                    if has_zero {
-                        do_phase(PH_APPLY_INSERT)?;
-                    }
-                }
-
-                do_phase(PH_TRANSMIT)?;
-                post_slot_validate(&fabric, &options);
-                audit_sharded_slot(&fabric);
-
-                let (tx_after, moved_after) = fabric.progress();
-                let progressed = tx_after != tx_before || moved_after != moved_before;
-                idle_slots = if progressed { 0 } else { idle_slots + 1 };
-                slot += 1;
-            }
-            final_slot = slot;
-            Ok(())
-        },
-    );
-    result?;
-
-    let (report, final_state, admissions) =
-        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
-    let schedule = options.record.then_some(RecordedSchedule {
-        admissions,
-        transfers: recorded,
-        fabric_delay: options.fabric.max_delay(),
-    });
-    if cfg!(debug_assertions) {
-        if let Some(s) = &schedule {
-            if let Err(msg) = crate::invariants::check_schedule(s, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-    }
-    Ok(ShardedOutcome {
-        report,
-        schedule,
-        crossbar_schedule: None,
-        final_state,
-        checkpoints,
-    })
+    let arch = CioqShard::new(policy, options.shards);
+    run_sharded(cfg, arch, Feed::stream(source), options)
 }
 
 /// Run a sharded buffered-crossbar policy over a recorded trace.
@@ -2554,7 +2762,7 @@ pub fn run_crossbar_sharded(
     trace: &Trace,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(cfg, policy, Feed::Trace(trace), options)
+    run_sharded(cfg, XbarShard::new(policy), Feed::Trace(trace), options)
 }
 
 /// Run a sharded buffered-crossbar policy against a live
@@ -2565,202 +2773,7 @@ pub fn run_crossbar_sharded_streamed(
     source: &mut StreamingSource,
     options: ShardedOptions,
 ) -> Result<ShardedOutcome, PolicyError> {
-    run_crossbar_sharded_feed(cfg, policy, Feed::Stream(source), options)
-}
-
-fn run_crossbar_sharded_feed(
-    cfg: &SwitchConfig,
-    policy: &dyn CrossbarShardPolicy,
-    mut feed: Feed<'_, '_>,
-    options: ShardedOptions,
-) -> Result<ShardedOutcome, PolicyError> {
-    assert!(
-        cfg.crossbar_capacity.is_some(),
-        "run_crossbar_sharded requires a crossbar config"
-    );
-    options.fabric.assert_covers(cfg);
-    let partition = Partition::new(options.shards, cfg.n_inputs, cfg.n_outputs);
-    let k = partition.k();
-    let (fixed_slots, arrivals, streamed) = feed.plumbing(cfg, &partition, &options)?;
-    let comms = Comms::new(k, options.record, options.fabric.clone(), &partition, cfg);
-    let fabric = Fabric {
-        cfg,
-        shards: (0..k)
-            .map(|s| RwLock::new(ShardState::new(cfg, &partition, s)))
-            .collect(),
-        partition,
-        arrivals,
-        staged: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-        streamed,
-        comms,
-    };
-    let mut workers: Vec<WorkerCtx<Box<dyn CrossbarShardWorker>>> = (0..k)
-        .map(|s| {
-            let mark_cap = 2 * fabric.partition.input_range(s).len() * cfg.speedup.max(1) as usize;
-            WorkerCtx::new(policy.new_worker(s, &fabric.partition, cfg), k, mark_cap)
-        })
-        .collect();
-    let (start_slot, start_idle) = options
-        .resume_from
-        .as_ref()
-        .map_or((0, 0), |snap| seed_from_snapshot(&fabric, snap, &options));
-    feed.check_resume(start_slot, &options);
-    for (s, w) in workers.iter_mut().enumerate() {
-        w.arrival_cursor = fabric.arrivals[s].partition_point(|&(_, p)| p.arrival < start_slot);
-    }
-
-    let speedup = cfg.speedup;
-    let horizon = fabric.comms.horizon;
-    let has_zero = fabric.comms.has_zero;
-    let mut rec_in: Vec<Vec<(u16, u16)>> = Vec::new();
-    let mut rec_out: Vec<Vec<(u16, u16)>> = Vec::new();
-    let mut final_slot: SlotId = 0;
-    let mut checkpoints: Vec<EngineSnapshot> = Vec::new();
-
-    let result = drive(
-        options.use_threads(),
-        &fabric.comms,
-        workers,
-        PhaseScratch::new,
-        |ph, s, w, scr| xbar_phase(ph, s, w, &fabric, scr),
-        |do_phase| {
-            let mut slot: SlotId = start_slot;
-            let mut idle_slots = start_idle;
-            let mut validate_scratch = MergeScratch::default();
-            let mut stage_scratch: Vec<Packet> = Vec::new();
-            // Pooled coordinator buffers (guards cleared each cycle, only
-            // capacity persists across the loop).
-            let mut in_guards: Vec<MutexGuard<'_, Vec<InputTransfer>>> = Vec::new();
-            let mut proposals: Vec<OutputTransfer> = Vec::new();
-            loop {
-                let in_arrival_window = feed.in_arrival_window(fixed_slots, slot);
-                if !in_arrival_window {
-                    let done = !options.drain
-                        || fabric.residual().0 == 0
-                        || (idle_slots >= 2 && fabric.in_flight_total() == 0);
-                    if done {
-                        break;
-                    }
-                }
-                fabric.comms.slot.store(slot, Ordering::Relaxed);
-                if let Some(every) = options.checkpoint_every {
-                    if slot > 0 && slot.is_multiple_of(every) {
-                        checkpoints.push(capture_sharded(&fabric, &options, slot, idle_slots));
-                    }
-                }
-                let (tx_before, moved_before) = fabric.progress();
-
-                if horizon >= 1 {
-                    do_phase(PH_LAND)?;
-                }
-                if in_arrival_window {
-                    if let Feed::Stream(src) = &mut feed {
-                        stage_stream_slot(&fabric, src, slot, &mut stage_scratch)?;
-                    }
-                    do_phase(PH_ARRIVAL)?;
-                }
-
-                for s in 0..speedup {
-                    fabric.comms.cycle.store(s, Ordering::Relaxed);
-                    do_phase(PH_PROPOSE_IN)?;
-                    // Concatenated in shard order = ascending input port
-                    // order; validate the ≤ 1-per-input-port property.
-                    {
-                        in_guards.extend(fabric.comms.in_assignments.iter().map(|m| lock(m)));
-                        let valid = validate_transfers(
-                            in_guards
-                                .iter()
-                                .flat_map(|g| g.iter().map(|t| (t.input, t.output))),
-                            cfg,
-                            &mut validate_scratch,
-                            true,
-                            false,
-                        );
-                        if options.record && valid.is_ok() {
-                            rec_in.push(
-                                in_guards
-                                    .iter()
-                                    .flat_map(|g| g.iter().map(|t| (t.input.0, t.output.0)))
-                                    .collect(),
-                            );
-                        }
-                        in_guards.clear();
-                        valid?;
-                    }
-                    do_phase(PH_APPLY_IN)?;
-
-                    // The output subphase reads output occupancy through
-                    // the snapshot (virtual fullness on a delayed fabric);
-                    // refresh it at the exact point the sequential engine
-                    // would read live state.
-                    fabric.refresh_snapshot();
-                    do_phase(PH_PROPOSE_OUT)?;
-                    // Output proposals go to the *row* owners for the pop
-                    // step; validate ≤ 1 per output port first.
-                    {
-                        proposals.clear();
-                        for mbox in &fabric.comms.out_assignments {
-                            proposals.extend(lock(mbox).drain(..));
-                        }
-                        validate_transfers(
-                            proposals.iter().map(|t| (t.input, t.output)),
-                            cfg,
-                            &mut validate_scratch,
-                            false,
-                            true,
-                        )?;
-                        if options.record {
-                            rec_out
-                                .push(proposals.iter().map(|t| (t.input.0, t.output.0)).collect());
-                        }
-                        for t in proposals.drain(..) {
-                            let owner = fabric.partition.input_owner(t.input.index());
-                            lock(&fabric.comms.out_assignments[owner]).push(t);
-                        }
-                    }
-                    do_phase(PH_APPLY_OUT_POP)?;
-                    if has_zero {
-                        do_phase(PH_APPLY_INSERT)?;
-                    }
-                }
-
-                do_phase(PH_TRANSMIT)?;
-                post_slot_validate(&fabric, &options);
-                audit_sharded_slot(&fabric);
-
-                let (tx_after, moved_after) = fabric.progress();
-                let progressed = tx_after != tx_before || moved_after != moved_before;
-                idle_slots = if progressed { 0 } else { idle_slots + 1 };
-                slot += 1;
-            }
-            final_slot = slot;
-            Ok(())
-        },
-    );
-    result?;
-
-    let (report, final_state, admissions) =
-        finish_run(&fabric, policy.name().to_string(), final_slot, &options);
-    let crossbar_schedule = options.record.then_some(RecordedCrossbarSchedule {
-        admissions,
-        input_transfers: rec_in,
-        output_transfers: rec_out,
-        fabric_delay: options.fabric.max_delay(),
-    });
-    if cfg!(debug_assertions) {
-        if let Some(s) = &crossbar_schedule {
-            if let Err(msg) = crate::invariants::check_crossbar_schedule(s, cfg) {
-                panic!("sharded run produced an invalid schedule transcript: {msg}");
-            }
-        }
-    }
-    Ok(ShardedOutcome {
-        report,
-        schedule: None,
-        crossbar_schedule,
-        final_state,
-        checkpoints,
-    })
+    run_sharded(cfg, XbarShard::new(policy), Feed::stream(source), options)
 }
 
 #[cfg(test)]

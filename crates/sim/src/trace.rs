@@ -136,9 +136,11 @@ impl Trace {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| TraceError::Parse(1, "bad packet count".into()))?;
 
-        let mut tuples = Vec::with_capacity(count);
+        // The count is untrusted input: the vector grows as lines parse
+        // instead of reserving it up front.
+        let mut tuples = Vec::new();
         let mut line = String::new();
-        for lineno in 2..2 + count {
+        for lineno in (2..).take(count) {
             line.clear();
             if r.read_line(&mut line)? == 0 {
                 return Err(TraceError::Parse(lineno, "unexpected end of file".into()));
@@ -305,6 +307,15 @@ mod tests {
         assert!(matches!(
             Trace::read_from(&mut truncated),
             Err(TraceError::Parse(3, _))
+        ));
+    }
+
+    #[test]
+    fn read_does_not_trust_the_header_count() {
+        let mut huge = "cioq-trace v1 4000000000\n".as_bytes();
+        assert!(matches!(
+            Trace::read_from(&mut huge),
+            Err(TraceError::Parse(2, _))
         ));
     }
 
